@@ -48,7 +48,7 @@ print(f"  max discrepancy between routes: "
 
 print("\n== referee: finite-difference eigensolver ==")
 T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), grid)
-numeric = lowest_eigenvalues(T, 3, tol=1e-8, bracket=(-13.0, 10.0))
+numeric = lowest_eigenvalues(T, 3)
 for n, (analytic, num) in enumerate(zip(spec.energies, numeric)):
     print(f"  level {n}: analytic {analytic:8.5f}   numeric {num:8.5f}   "
           f"|diff| {abs(analytic - num):.2e}")

@@ -28,7 +28,6 @@ from .catalog import (
 )
 from .errors import (
     BoundaryContaminationError,
-    ConvergenceError,
     GridTooCoarseError,
     InvalidParameterError,
     LevelOutOfRangeError,
@@ -45,6 +44,7 @@ from .oracle import (
     eigenvector,
     lowest_eigenvalues,
     residual_norm,
+    spectrum,
     sturm_count,
 )
 from .susy import (

@@ -238,6 +238,10 @@ def list_models() -> list[dict]:
 
 
 def _require_valid(model: SuperpotentialModel, p: ParameterPoint) -> None:
+    if not all(map(math.isfinite, (p.a, *p.aux.values()))):
+        raise InvalidParameterError(
+            f"{model.id}: parameters must be finite, got a={p.a}, aux={dict(p.aux)}"
+        )
     if not model.param_valid(p):
         raise InvalidParameterError(
             f"{model.id}: invalid parameters a={p.a}, aux={dict(p.aux)} "

@@ -27,7 +27,3 @@ class BoundaryContaminationError(SipsError, ValueError):
 
 class UnitarityError(SipsError, ValueError):
     """(j, m) pair lies outside every unitary multiplet (negative ladder radicand)."""
-
-
-class ConvergenceError(SipsError, RuntimeError):
-    """Iterative solver exceeded its iteration cap."""

@@ -3,8 +3,9 @@
 This is the numerical referee for every analytic claim in the package, so it
 deliberately shares nothing with the analytic machinery: second-order central
 differences (the ladder code uses fourth-order stencils), Dirichlet walls at
-the box edges, Sturm-sequence counting plus bisection for eigenvalues, and
-inverse iteration for eigenvectors.
+the box edges, and LAPACK's tridiagonal bisection (stebz) and inverse
+iteration (stein) for eigenpairs. A Sturm-sequence count, computed here
+independently of LAPACK, certifies how many levels lie below an energy.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import ConvergenceError
+from .catalog import ParameterPoint, get_model, potential_minus
+from .errors import GridTooCoarseError
 from .grids import Grid, SampledFunction
 
 __all__ = [
@@ -25,13 +27,11 @@ __all__ = [
     "sturm_count",
     "lowest_eigenvalues",
     "eigenvector",
+    "spectrum",
     "residual_norm",
     "compare_spectra",
     "SpectrumComparison",
 ]
-
-_BISECTION_CAP = 200
-_INVERSE_ITERATION_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,6 @@ class TridiagonalOperator:
         out[:-1] += self.off * v[1:]
         out[1:] += self.off * v[:-1]
         return out
-
-    def gershgorin(self) -> tuple[float, float]:
-        radius = np.zeros(self.size)
-        radius[:-1] += np.abs(self.off)
-        radius[1:] += np.abs(self.off)
-        return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
 
 def discretize_hamiltonian(V: Callable, grid: Grid) -> TridiagonalOperator:
@@ -103,95 +97,53 @@ def _sturm_count(diag: list, off2: list, E: float) -> int:
     return count
 
 
-def lowest_eigenvalues(
-    T: TridiagonalOperator,
-    k: int,
-    tol: float = 1e-8,
-    bracket: tuple[float, float] | None = None,
-) -> NDArray[np.float64]:
-    """The k smallest eigenvalues, each bisected to a bracket of width < tol.
-
-    The search interval defaults to the Gershgorin bounds; callers that know a
-    continuum edge can pass a tighter ``bracket`` (purely a speed-up, the
-    result is the same). Deterministic: pure bisection, no iterative
-    refinement.
-    """
+def lowest_eigenvalues(T: TridiagonalOperator, k: int) -> NDArray[np.float64]:
+    """The k smallest eigenvalues, ascending, from LAPACK bisection (stebz)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if k > T.size:
         raise ValueError(f"requested {k} eigenvalues from a {T.size}-point operator")
-    lo_g, hi_g = T.gershgorin()
-    if bracket is None:
-        lo0, hi0 = lo_g, hi_g
-    else:
-        # Never trust a caller bracket blindly; clip into Gershgorin range.
-        lo0, hi0 = max(bracket[0], lo_g), min(bracket[1], hi_g)
-    diag = T.diag.tolist()
-    off2 = (T.off**2).tolist()
-    if _sturm_count(diag, off2, hi0) < k:
-        hi0 = hi_g  # caller bracket too tight; fall back
-    eigenvalues = []
-    for index in range(k):
-        lo, hi = lo0, hi0
-        # Shrink [lo, hi] until it isolates eigenvalue #index to width < tol.
-        for _ in range(_BISECTION_CAP):
-            if hi - lo < tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(diag, off2, mid) >= index + 1:
-                hi = mid
-            else:
-                lo = mid
-        else:
-            raise ConvergenceError(
-                f"bisection cap {_BISECTION_CAP} hit for eigenvalue {index}: "
-                f"bracket [{lo}, {hi}], width {hi - lo:.3e} > tol {tol:.3e}"
-            )
-        eigenvalues.append(0.5 * (lo + hi))
-    return np.array(eigenvalues)
+    return eigvalsh_tridiagonal(T.diag, T.off, select="i", select_range=(0, k - 1))
 
 
-def eigenvector(T: TridiagonalOperator, E: float) -> SampledFunction:
-    """Unit-norm eigenvector for an eigenvalue near E by inverse iteration.
+def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
+    """Unit-norm eigenvector of level ``index`` (0 = lowest), from LAPACK
+    inverse iteration (stein).
 
     Returns the wavefunction on the full grid (zeros re-attached at the
     Dirichlet walls), trapezoid-normalized, with the sign fixed so the first
     sizable component is positive.
     """
-    n = T.size
-    # Banded LHS for (T - E); a tiny diagonal shift guards exact singularity.
-    shift = E + 1e-12 * max(1.0, abs(E))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = T.off
-    ab[1, :] = T.diag - shift
-    ab[2, :-1] = T.off
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    converged = False
-    for _ in range(_INVERSE_ITERATION_CAP):
-        w = solve_banded((1, 1), ab, v)
-        w /= np.linalg.norm(w)
-        # Direction has stabilized once successive iterates are parallel;
-        # accuracy in E is the caller's business (see residual_norm).
-        if 1.0 - abs(float(w @ v)) < 1e-13:
-            v = w
-            converged = True
-            break
-        v = w
-    if not converged:
-        raise ConvergenceError(
-            f"inverse iteration did not converge near E={E} "
-            f"after {_INVERSE_ITERATION_CAP} iterations"
-        )
+    _, vectors = eigh_tridiagonal(
+        T.diag, T.off, select="i", select_range=(index, index)
+    )
+    v = vectors[:, 0]
     first = np.argmax(np.abs(v) > 1e-2 * np.max(np.abs(v)))
     if v[first] < 0:
         v = -v
     full = np.zeros(T.grid.n_points)
     full[1:-1] = v
     return SampledFunction(T.grid, full).normalized()
+
+
+def spectrum(model, p: ParameterPoint, grid: Grid, k: int) -> NDArray[np.float64]:
+    """The k lowest levels of -d²/dx² + V-(x; p) discretized on ``grid``.
+
+    For families with a continuum edge, the Sturm count certifies that the
+    discretized H holds at least k levels below it; a grid too coarse to
+    resolve them raises GridTooCoarseError instead of returning box states.
+    """
+    model = get_model(model)
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
+    edge = model.continuum_edge(p)
+    if edge is not None:
+        below = sturm_count(T, edge)
+        if below < k:
+            raise GridTooCoarseError(
+                f"{grid.n_points}-point grid on [{grid.x_min:g}, {grid.x_max:g}] "
+                f"holds {below} of {k} levels below the continuum edge {edge:g}"
+            )
+    return lowest_eigenvalues(T, k)
 
 
 def residual_norm(T: TridiagonalOperator, psi: SampledFunction, E: float) -> float:

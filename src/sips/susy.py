@@ -16,6 +16,7 @@ from scipy.integrate import cumulative_simpson
 
 from .catalog import (
     ParameterPoint,
+    _require_valid,
     get_model,
     max_bound_states,
     potential_minus,
@@ -101,7 +102,7 @@ class ShapeInvarianceReport:
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(self.residuals))
+        return float(np.max(self.residuals, initial=0.0))
 
     def to_dict(self) -> dict:
         return {
@@ -155,10 +156,7 @@ def ground_state(
     """
     model = get_model(model)
     grid = grid or DEFAULT_GRID
-    if not model.param_valid(p):
-        raise InvalidParameterError(
-            f"{model.id}: invalid parameters a={p.a} (need {model.validity})"
-        )
+    _require_valid(model, p)
     x = grid.x
     w = np.asarray(model.w(x, p), dtype=float)
     integral = cumulative_simpson(w, dx=grid.h, initial=0.0)

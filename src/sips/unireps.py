@@ -164,8 +164,10 @@ def classify(j: float, m0: float) -> RepLabel:
     m0 = j with j < 0), then the supplementary band (strict inequalities
     j(j+1) < (|m0|-1)|m0| and -1/2 < m0 < 1/2). Anything else is the INVALID
     label. The principal series has complex j and is only reachable through
-    ``RepLabel.principal``.
+    ``RepLabel.principal``. Non-finite j or m0 raise ValueError.
     """
+    if not (math.isfinite(j) and math.isfinite(m0)):
+        raise ValueError(f"(j={j}, m0={m0}) must be finite")
     if j < 0.0 and abs(m0 + j) < _EDGE_TOL:
         return RepLabel(RepClass.D_PLUS, j, -j)
     if j < 0.0 and abs(m0 - j) < _EDGE_TOL:

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
-from sips import Grid, ParameterPoint, discretize_hamiltonian, lowest_eigenvalues
-from sips.catalog import get_model, potential_minus
+from sips import Grid, ParameterPoint
+from sips.catalog import get_model
 
 
 @pytest.fixture
@@ -13,17 +12,6 @@ def ref_grid():
 @pytest.fixture
 def scarf_p():
     return ParameterPoint(3.0, {"B": 1.0})
-
-
-def oracle_spectrum(model, p, grid, k, tol=1e-8):
-    """Eigenvalues of V- via the finite-difference solver, bracketed by the
-    model's continuum edge when it has one."""
-    model = get_model(model)
-    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
-    v_min = float(np.min(T.diag)) - 2.0 / grid.h**2
-    edge = model.continuum_edge(p)
-    bracket = None if edge is None else (v_min - 1.0, edge + 1.0)
-    return lowest_eigenvalues(T, k, tol=tol, bracket=bracket)
 
 
 def model_grid(model, n_points=4001):

@@ -18,10 +18,9 @@ from sips import (
     energy_from_algebra,
     ground_state,
     is_so21,
+    spectrum,
     spectrum_by_shape_invariance,
 )
-
-from conftest import oracle_spectrum
 
 
 def gaussian_sector(grid, m, kind="gaussian"):
@@ -155,5 +154,5 @@ def test_sector_hamiltonian_spectrum_matches_oracle(ref_grid):
     # closed-form levels must match the eigensolver on that potential
     m = 3.5
     spec = algebra_spectrum("scarf", m, 3, {"B": 1.0})
-    numeric = oracle_spectrum("scarf", ParameterPoint(m - 0.5, {"B": 1.0}), ref_grid, 3)
+    numeric = spectrum("scarf", ParameterPoint(m - 0.5, {"B": 1.0}), ref_grid, 3)
     assert np.max(np.abs(spec.energies - numeric)) < 2e-3

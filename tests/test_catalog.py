@@ -13,10 +13,11 @@ from sips import (
     max_bound_states,
     potential_minus,
     potential_plus,
+    spectrum,
 )
 from sips.catalog import MODELS, get_model
 
-from conftest import model_grid, oracle_spectrum
+from conftest import model_grid
 
 
 def test_list_models_contents():
@@ -57,6 +58,15 @@ def test_invalid_parameters_rejected():
         max_bound_states("morse", ParameterPoint(3.0, {"B": -1.0}))
     with pytest.raises(InvalidParameterError):
         closed_form_energy("poschl_teller", ParameterPoint(0.0), 0)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [ParameterPoint(np.inf, {"B": 1.0}), ParameterPoint(np.nan), ParameterPoint(3.0, {"B": np.nan})],
+)
+def test_nonfinite_parameters_rejected(p):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        max_bound_states("scarf", p)
 
 
 def test_max_bound_states():
@@ -158,5 +168,5 @@ def test_morse_closed_forms_certified(a, B, expected):
     assert max_bound_states("morse", p) == len(expected)
     closed = [closed_form_energy("morse", p, n) for n in range(len(expected))]
     assert closed == pytest.approx(expected)
-    numeric = oracle_spectrum("morse", p, model_grid("morse"), len(expected))
+    numeric = spectrum("morse", p, model_grid("morse"), len(expected))
     assert np.max(np.abs(numeric - np.array(expected))) < 2e-3

@@ -118,6 +118,41 @@ def test_verify_hits_discretization_floor(capsys):
     assert "FAIL" in out
 
 
+def usage_error(code, out, err):
+    # exit 2 with a single "error:" line and nothing on stdout
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_grid_too_coarse(capsys):
+    # 7 points hold fewer than 3 levels below the continuum edge a² = 9
+    code, out, err = run(
+        capsys, "verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:20:7"
+    )
+    usage_error(code, out, err)
+    assert "continuum edge" in err
+
+
+@pytest.mark.parametrize("model,params", [("scarf", "a=1,B=1"), ("poschl_teller", "a=0.7")])
+def test_verify_single_bound_state(capsys, model, params):
+    code, out, _ = run(
+        capsys, "verify", "--model", model, "--params", params, "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"]
+    assert payload["shape_invariance"]["residuals"] == []
+    assert abs(payload["spectrum"]["numeric"][0]) < 1e-5
+
+
+@pytest.mark.parametrize("params", ["a=inf", "a=3,B=nan"])
+def test_nonfinite_params_rejected(capsys, params):
+    code, out, err = run(capsys, "spectrum", "--model", "scarf", "--params", params)
+    usage_error(code, out, err)
+    assert "finite" in err
+
+
 def test_verify_json_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run(
@@ -216,6 +251,14 @@ def test_reps_enumerate_invalid(capsys):
     code, _, err = run(capsys, "reps", "enumerate", "--j", "-1.5", "--m0", "0")
     assert code == 2
     assert "does not label" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "enumerate"])
+@pytest.mark.parametrize("j,m0", [("nan", "1"), ("-1.5", "inf"), ("-inf", "0")])
+def test_reps_nonfinite_labels_rejected(capsys, command, j, m0):
+    code, out, err = run(capsys, "reps", command, "--j", j, "--m0", m0)
+    usage_error(code, out, err)
+    assert "finite" in err
 
 
 def test_reps_region_grid(tmp_path, capsys):

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh_tridiagonal
 
 from sips import (
-    ConvergenceError,
     Grid,
     ParameterPoint,
     SampledFunction,
@@ -14,11 +12,10 @@ from sips import (
     node_count,
     potential_minus,
     residual_norm,
+    spectrum,
     spectrum_by_shape_invariance,
     sturm_count,
 )
-
-from conftest import oracle_spectrum
 
 
 def test_discretization_stencil():
@@ -37,59 +34,55 @@ def test_nonfinite_potential_rejected():
 def test_particle_in_a_box_modes():
     grid = Grid(0.0, np.pi, 2001)
     T = discretize_hamiltonian(lambda x: np.zeros_like(x), grid)
-    energies = lowest_eigenvalues(T, 3, tol=1e-9)
+    energies = lowest_eigenvalues(T, 3)
     assert np.allclose(energies, [1.0, 4.0, 9.0], atol=1e-3)
     # second mode has a single interior node
-    psi = eigenvector(T, energies[1])
+    psi = eigenvector(T, 1)
     assert node_count(psi) == 1
 
 
-def test_matches_lapack_bisection():
-    grid = Grid(-12.0, 12.0, 801)
-    p = ParameterPoint(3.0, {"B": 1.0})
-    T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), grid)
-    ours = lowest_eigenvalues(T, 4, tol=1e-10)
-    lapack = eigvalsh_tridiagonal(T.diag, T.off, select="i", select_range=(0, 3))
-    assert np.allclose(ours, lapack, atol=1e-9)
+def test_matches_discrete_box_spectrum():
+    # the V = 0 Dirichlet box has the closed-form discrete spectrum
+    # (2 - 2cos(jπh/L))/h², independent of any eigensolver
+    length = 10.0
+    grid = Grid(0.0, length, 801)
+    T = discretize_hamiltonian(lambda x: np.zeros_like(x), grid)
+    j = np.arange(1, 5)
+    exact = (2.0 - 2.0 * np.cos(j * np.pi * grid.h / length)) / grid.h**2
+    assert np.allclose(lowest_eigenvalues(T, 4), exact, atol=1e-9)
 
 
 def test_oscillator_ground_level(ref_grid):
-    energies = oracle_spectrum("oscillator", ParameterPoint(1.0), ref_grid, 1)
+    energies = spectrum("oscillator", ParameterPoint(1.0), ref_grid, 1)
     assert abs(energies[0]) < 1e-4
 
 
 def test_scarf_levels(ref_grid, scarf_p):
-    energies = oracle_spectrum("scarf", scarf_p, ref_grid, 3)
+    energies = spectrum("scarf", scarf_p, ref_grid, 3)
     assert np.allclose(energies, [0.0, 5.0, 8.0], atol=1e-3)
 
 
 def test_morse_levels():
     from conftest import model_grid
 
-    energies = oracle_spectrum("morse", ParameterPoint(3.0, {"B": 1.0}), model_grid("morse"), 3)
+    energies = spectrum("morse", ParameterPoint(3.0, {"B": 1.0}), model_grid("morse"), 3)
     assert np.allclose(energies, [0.0, 5.0, 8.0], atol=2e-3)
 
 
 def test_eigenvalues_sorted_and_deterministic(ref_grid, scarf_p):
     T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, scarf_p), ref_grid)
-    first = lowest_eigenvalues(T, 3, tol=1e-8)
-    second = lowest_eigenvalues(T, 3, tol=1e-8)
+    first = lowest_eigenvalues(T, 3)
+    second = lowest_eigenvalues(T, 3)
     assert np.all(np.diff(first) > 0)
     assert np.array_equal(first, second)
 
 
 def test_sturm_count_between_levels(ref_grid, scarf_p):
     T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, scarf_p), ref_grid)
-    energies = lowest_eigenvalues(T, 3, tol=1e-8)
+    energies = lowest_eigenvalues(T, 3)
     for k in range(2):
         midpoint = 0.5 * (energies[k] + energies[k + 1])
         assert sturm_count(T, midpoint) == k + 1
-
-
-def test_bisection_iteration_cap():
-    T = discretize_hamiltonian(lambda x: np.zeros_like(x), Grid(0.0, np.pi, 101))
-    with pytest.raises(ConvergenceError, match="bisection cap"):
-        lowest_eigenvalues(T, 1, tol=1e-30)
 
 
 def test_exact_discrete_eigenpair_residual():
@@ -106,8 +99,8 @@ def test_exact_discrete_eigenpair_residual():
 def test_wrong_energy_residual_is_order_one(ref_grid):
     p = ParameterPoint(1.0)
     T = discretize_hamiltonian(lambda x: potential_minus("oscillator", x, p), ref_grid)
-    energies = lowest_eigenvalues(T, 1, tol=1e-8)
-    psi = eigenvector(T, energies[0])
+    energies = lowest_eigenvalues(T, 1)
+    psi = eigenvector(T, 0)
     assert residual_norm(T, psi, energies[0] + 1.0) == pytest.approx(1.0, abs=1e-2)
 
 
@@ -121,8 +114,7 @@ def test_grid_mismatch_rejected(ref_grid):
 def test_eigenvector_matches_gaussian(ref_grid):
     p = ParameterPoint(1.0)
     T = discretize_hamiltonian(lambda x: potential_minus("oscillator", x, p), ref_grid)
-    energies = lowest_eigenvalues(T, 1, tol=1e-9)
-    psi = eigenvector(T, energies[0])
+    psi = eigenvector(T, 0)
     exact = np.exp(-ref_grid.x**2 / 2.0)
     exact /= np.sqrt(np.trapezoid(exact**2, dx=ref_grid.h))
     assert np.max(np.abs(psi.values - exact)) < 1e-4
@@ -130,9 +122,8 @@ def test_eigenvector_matches_gaussian(ref_grid):
 
 def test_eigenvector_node_counts(ref_grid, scarf_p):
     T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, scarf_p), ref_grid)
-    energies = lowest_eigenvalues(T, 3, tol=1e-8)
-    assert node_count(eigenvector(T, energies[1])) == 1
-    assert node_count(eigenvector(T, energies[2])) == 2
+    assert node_count(eigenvector(T, 1)) == 1
+    assert node_count(eigenvector(T, 2)) == 2
 
 
 def test_richardson_convergence_factor():
@@ -141,7 +132,7 @@ def test_richardson_convergence_factor():
     errors = []
     for n_points in (1001, 2001):
         grid = Grid(-20.0, 20.0, n_points)
-        energies = oracle_spectrum("oscillator", ParameterPoint(1.0), grid, 2, tol=1e-10)
+        energies = spectrum("oscillator", ParameterPoint(1.0), grid, 2)
         errors.append(abs(energies[1] - 2.0))
     ratio = errors[0] / errors[1]
     assert 3.5 < ratio < 4.5
@@ -149,7 +140,7 @@ def test_richardson_convergence_factor():
 
 def test_compare_spectra_pass(ref_grid, scarf_p):
     analytic = spectrum_by_shape_invariance("scarf", scarf_p, 3)
-    numeric = oracle_spectrum("scarf", scarf_p, ref_grid, 3)
+    numeric = spectrum("scarf", scarf_p, ref_grid, 3)
     report = compare_spectra(analytic, numeric, tol=1e-3)
     assert report.passed
     assert report.max_abs_diff < 1e-3
@@ -158,7 +149,7 @@ def test_compare_spectra_pass(ref_grid, scarf_p):
 def test_compare_spectra_fail_control(scarf_p):
     # spectra from genuinely different parameter points must fail loudly
     analytic = spectrum_by_shape_invariance("scarf", scarf_p, 3)
-    mismatched = oracle_spectrum(
+    mismatched = spectrum(
         "morse", ParameterPoint(2.5, {"B": 0.8}), Grid(-6.0, 20.0, 2001), 3
     )
     report = compare_spectra(analytic, mismatched, tol=1e-3)

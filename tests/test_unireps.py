@@ -63,6 +63,12 @@ def test_classify(j, m0, expected):
     assert classify(j, m0).rep_class is expected
 
 
+@pytest.mark.parametrize("j,m0", [(math.nan, 1.0), (-1.5, math.inf), (-math.inf, 0.0)])
+def test_classify_rejects_nonfinite(j, m0):
+    with pytest.raises(ValueError, match="finite"):
+        classify(j, m0)
+
+
 def test_enumerate_bounded_below():
     multiplet = enumerate_multiplet(RepLabel.bounded_below(-1.5), 3)
     assert multiplet.m_values == [1.5, 2.5, 3.5]
