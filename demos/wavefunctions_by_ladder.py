@@ -14,7 +14,6 @@ from sips import (
     ParameterPoint,
     discretize_hamiltonian,
     excited_state_by_ladder,
-    ground_state,
     node_count,
     potential_minus,
     residual_norm,
@@ -37,11 +36,6 @@ for n, energy in enumerate((0.0, 5.0, 8.0)):
     states[n] = psi
     print(f"  n={n}: E={energy:g}  nodes={node_count(psi)}  "
           f"residual={residual_norm(T, psi, energy):.2e}")
-
-print("\n== the reference point in the quadrature is immaterial ==")
-a = ground_state("scarf", p, grid, x_ref=0.0)
-b = ground_state("scarf", p, grid, x_ref=-5.0)
-print(f"  max |psi(x_ref=0) - psi(x_ref=-5)| = {np.max(np.abs(a.values - b.values)):.2e}")
 
 print("\n== peak positions shift with the asymmetric sech term ==")
 for n, psi in states.items():

@@ -19,6 +19,7 @@ from .catalog import (
     ParameterPoint,
     SuperpotentialModel,
     closed_form_energy,
+    default_grid,
     evaluate_superpotential,
     get_model,
     list_models,
@@ -35,7 +36,7 @@ from .errors import (
     SipsError,
     UnitarityError,
 )
-from .grids import DEFAULT_GRID, Grid, SampledFunction, derivative, node_count
+from .grids import Grid, SampledFunction, derivative, node_count
 from .oracle import (
     SpectrumComparison,
     TridiagonalOperator,

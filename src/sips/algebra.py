@@ -203,7 +203,7 @@ def is_so21(model) -> So21Check:
 
 def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Spectrum:
     """Spectrum through the algebra route: sector m hosts the family member
-    with a₀ = m - 1/2, and E_n = (m - 1/2)² - [n - (m - 1/2)]².
+    with a₀ = m - 1/2, and E_n = a₀² - (n - a₀)² = n·(2a₀ - n).
 
     Only defined for models in the SO(2,1) class.
     """
@@ -214,6 +214,7 @@ def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Sp
     a0 = m - 0.5
     p0 = ParameterPoint(a0, aux or {})
     n_levels = min(n_max, max_bound_states(model, p0))
-    energies = np.array([a0**2 - (n - a0) ** 2 for n in range(n_levels)])
+    n = np.arange(n_levels)
+    energies = n * (2.0 * a0 - n)
     points = [p0.with_a(a0 - k) for k in range(n_levels)]
     return Spectrum(model.id, p0, energies, points)

@@ -28,6 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InvalidParameterError, LevelOutOfRangeError
+from .grids import Grid
 
 __all__ = [
     "ParameterPoint",
@@ -40,6 +41,7 @@ __all__ = [
     "potential_plus",
     "closed_form_energy",
     "max_bound_states",
+    "default_grid",
 ]
 
 # Levels reported for the oscillator, which has no normalizability cutoff.
@@ -106,7 +108,8 @@ def _sip_level_count(p: ParameterPoint) -> int:
 
 
 def _sip_energy(p: ParameterPoint, n: int) -> float:
-    return p.a**2 - (p.a - n) ** 2
+    # a² - (a - n)², factored: no cancellation at large a, no overflow of a².
+    return n * (2.0 * p.a - n)
 
 
 def _sip_remainder(p: ParameterPoint) -> float:
@@ -287,3 +290,10 @@ def max_bound_states(model, p: ParameterPoint) -> int:
     model = get_model(model)
     _require_valid(model, p)
     return int(model.bound_states(p))
+
+
+def default_grid(model) -> Grid:
+    """The grid used wherever none is given, in the library and the CLI:
+    the model's default box at 4001 points."""
+    box = get_model(model).default_box
+    return Grid(box[0], box[1], 4001)

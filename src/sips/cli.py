@@ -4,16 +4,17 @@ Commands: list, spectrum, verify, wavefunction, algebra check,
 reps {classify, enumerate, region-grid}. Exit codes: 0 success,
 1 verification/consistency failure, 2 usage or validation error.
 
-Defaults may come from a key=value config file (--config); explicit flags
-win. The SIPS_DEFAULT_GRID environment variable overrides the built-in grid
-default (each model otherwise gets its recommended box with 4001 points).
+Every default is an argparse default, except two that depend on the model:
+without --grid a command runs on catalog.default_grid(model), the grid the
+library uses too, and verify's --levels defaults to min(bound states, 5).
+--levels, --n and --count above MAX_COUNT are rejected, so no input can ask
+for unbounded work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,29 +22,14 @@ import numpy as np
 from . import algebra as alg
 from . import catalog, export, oracle, susy, unireps
 from .catalog import ParameterPoint, get_model
-from .errors import (
-    BoundaryContaminationError,
-    GridTooCoarseError,
-    InvalidParameterError,
-    LevelOutOfRangeError,
-    NotSO21Error,
-    UnitarityError,
-)
+from .errors import SipsError
 from .grids import Grid, SampledFunction, node_count
 
 ROUTE_AGREEMENT_TOL = 1e-9
-DEFAULT_TOL = 1e-3
-DEFAULT_GRID_POINTS = 4001
+# Largest --levels, --n or --count accepted; each asks for work in proportion.
+MAX_COUNT = 10_000
 
-_USAGE_ERRORS = (
-    InvalidParameterError,
-    LevelOutOfRangeError,
-    NotSO21Error,
-    GridTooCoarseError,
-    UnitarityError,
-    KeyError,
-    ValueError,
-)
+_USAGE_ERRORS = (SipsError, KeyError, ValueError)
 
 
 def parse_grid_spec(spec: str) -> Grid:
@@ -95,39 +81,8 @@ def parse_params(model, text: str | None, default_a: float | None = None) -> Par
     return ParameterPoint(a, values)
 
 
-def _load_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
-    return config
-
-
-def _setting(args, config: dict, key: str, default=None, cast=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-        if value is not None and cast is not None:
-            value = cast(value)
-    return default if value is None else value
-
-
-def _resolve_grid(args, config, model=None) -> Grid:
-    spec = _setting(args, config, "grid")
-    if spec is None:
-        spec = os.environ.get("SIPS_DEFAULT_GRID")
-    if spec is not None:
-        return parse_grid_spec(spec)
-    if model is not None:
-        box = get_model(model).default_box
-        return Grid(box[0], box[1], DEFAULT_GRID_POINTS)
-    return Grid(-20.0, 20.0, DEFAULT_GRID_POINTS)
+def _grid(args, model) -> Grid:
+    return catalog.default_grid(model) if args.grid is None else parse_grid_spec(args.grid)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -144,7 +99,7 @@ def _params_dict(p: ParameterPoint) -> dict:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_list(args, config) -> int:
+def cmd_list(args) -> int:
     models = catalog.list_models()
     if args.format == "json":
         _emit(json.dumps(models, indent=2), args.out)
@@ -159,16 +114,13 @@ def cmd_list(args, config) -> int:
     return 0
 
 
-def cmd_spectrum(args, config) -> int:
-    model = get_model(_setting(args, config, "model"))
-    route = _setting(args, config, "route", "shape")
-    m_value = _setting(args, config, "m", None, float)
+def cmd_spectrum(args) -> int:
+    model = get_model(args.model)
+    route, m_value, levels = args.route, args.m, args.levels
     # The algebra route fixes a through the sector index, so a=... is only
     # mandatory when the shape-invariance route runs or no --m was given.
     default_a = m_value - 0.5 if (route == "algebra" and m_value is not None) else None
-    p = parse_params(model, _setting(args, config, "params"), default_a=default_a)
-    levels = int(_setting(args, config, "levels", 3, int))
-    fmt = _setting(args, config, "format", "text")
+    p = parse_params(model, args.params, default_a=default_a)
 
     payload: dict = {"model": model.id, "params": _params_dict(p), "route": route}
     lines = []
@@ -179,9 +131,9 @@ def cmd_spectrum(args, config) -> int:
     if route in ("algebra", "both"):
         if m_value is None:
             m_value = p.a + 0.5
-        algebra_spec = alg.algebra_spectrum(model, float(m_value), levels, dict(p.aux))
+        algebra_spec = alg.algebra_spectrum(model, m_value, levels, dict(p.aux))
         payload["algebra"] = algebra_spec.to_dict()
-        payload["algebra"]["m"] = float(m_value)
+        payload["algebra"]["m"] = m_value
         lines.append(f"algebra (m={m_value:g}): {export.format_energies(algebra_spec.energies)}")
     exit_code = 0
     if route == "both":
@@ -194,18 +146,17 @@ def cmd_spectrum(args, config) -> int:
         if discrepancy > ROUTE_AGREEMENT_TOL:
             lines.append(f"ROUTE DISAGREEMENT beyond {ROUTE_AGREEMENT_TOL}")
             exit_code = 1
-    _emit(json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines), args.out)
+    _emit(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines), args.out)
     return exit_code
 
 
-def cmd_verify(args, config) -> int:
-    model = get_model(_setting(args, config, "model"))
-    p = parse_params(model, _setting(args, config, "params"))
-    grid = _resolve_grid(args, config, model)
-    tol = float(_setting(args, config, "tol", DEFAULT_TOL, float))
+def cmd_verify(args) -> int:
+    model = get_model(args.model)
+    p = parse_params(model, args.params)
+    grid = _grid(args, model)
+    tol = args.tol
     n_bound = catalog.max_bound_states(model, p)
-    levels = int(_setting(args, config, "levels", min(n_bound, 5), int))
-    levels = min(levels, n_bound)
+    levels = min(5 if args.levels is None else args.levels, n_bound)
 
     k_max = min(3, n_bound - 1)
     si_report = susy.verify_shape_invariance(model, p, grid, k_max=k_max)
@@ -224,7 +175,7 @@ def cmd_verify(args, config) -> int:
         "spectrum": comparison.to_dict(),
         "passed": passed,
     }
-    if _setting(args, config, "format", "text") == "json":
+    if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = [
@@ -241,11 +192,11 @@ def cmd_verify(args, config) -> int:
     return 0 if passed else 1
 
 
-def cmd_wavefunction(args, config) -> int:
-    model = get_model(_setting(args, config, "model"))
-    p = parse_params(model, _setting(args, config, "params"))
-    grid = _resolve_grid(args, config, model)
-    n = int(args.n)
+def cmd_wavefunction(args) -> int:
+    model = get_model(args.model)
+    p = parse_params(model, args.params)
+    grid = _grid(args, model)
+    n = args.n
     energy = catalog.closed_form_energy(model, p, n)
     psi = susy.excited_state_by_ladder(model, p, n, grid)
     T = oracle.discretize_hamiltonian(
@@ -261,7 +212,7 @@ def cmd_wavefunction(args, config) -> int:
         "node_count": nodes,
         "oracle_residual": residual,
     }
-    if _setting(args, config, "format", "csv") == "json":
+    if args.format == "json":
         record = export.wavefunction_record(
             model.id, _params_dict(p), n, energy, psi,
             node_count=nodes, oracle_residual=residual,
@@ -286,14 +237,12 @@ def _test_function(name: str, grid: Grid) -> SampledFunction:
     raise ValueError(f"unknown test function {name!r}")
 
 
-def cmd_algebra_check(args, config) -> int:
-    model = get_model(_setting(args, config, "model"))
-    m = float(_setting(args, config, "m"))
-    grid = _resolve_grid(args, config, model)
-    tol = float(_setting(args, config, "tol", 1e-4, float))
-    params_text = _setting(args, config, "params")
+def cmd_algebra_check(args) -> int:
+    model = get_model(args.model)
+    m, tol = args.m, args.tol
+    grid = _grid(args, model)
     # a is fixed by the sector index; --params only supplies auxiliaries here
-    aux_p = parse_params(model, params_text, default_a=m - 0.5) if params_text else None
+    aux_p = parse_params(model, args.params, default_a=m - 0.5) if args.params else None
 
     worst = 0.0
     reports = []
@@ -319,7 +268,7 @@ def cmd_algebra_check(args, config) -> int:
         "worst_residual": worst,
         "passed": worst < tol,
     }
-    if _setting(args, config, "format", "text") == "json":
+    if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = [f"model {model.id}  m={m:g}"]
@@ -335,11 +284,11 @@ def cmd_algebra_check(args, config) -> int:
     return 0 if worst < tol else 1
 
 
-def cmd_reps_classify(args, config) -> int:
-    label = unireps.classify(float(args.j), float(args.m0))
+def cmd_reps_classify(args) -> int:
+    label = unireps.classify(args.j, args.m0)
     payload = {
-        "j": float(args.j),
-        "m0": float(args.m0),
+        "j": args.j,
+        "m0": args.m0,
         "class": label.rep_class.value,
         "casimir": label.casimir,
         "band_convention": "supplementary band uses -1/2 < m0 < 1/2, strict",
@@ -351,13 +300,13 @@ def cmd_reps_classify(args, config) -> int:
     return 0
 
 
-def cmd_reps_enumerate(args, config) -> int:
-    label = unireps.classify(float(args.j), float(args.m0))
+def cmd_reps_enumerate(args) -> int:
+    label = unireps.classify(args.j, args.m0)
     if label.rep_class is unireps.RepClass.INVALID:
         raise ValueError(
             f"(j={args.j}, m0={args.m0}) does not label a unitary representation"
         )
-    multiplet = unireps.enumerate_multiplet(label, int(args.count))
+    multiplet = unireps.enumerate_multiplet(label, args.count)
     payload = {
         "class": label.rep_class.value,
         "j": label.j,
@@ -376,7 +325,7 @@ def cmd_reps_enumerate(args, config) -> int:
     return 0
 
 
-def cmd_reps_region_grid(args, config) -> int:
+def cmd_reps_region_grid(args) -> int:
     j_values = parse_range_spec(args.j)
     m_values = parse_range_spec(args.m)
     lines = ["j,m,region"]
@@ -400,33 +349,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, model=True, out=True, fmt=("text", "json")):
+    def add_common(sp, model=True, fmt=("text", "json")):
         if model:
             sp.add_argument("--model", help="catalog model id")
             sp.add_argument("--params", help="comma-separated key=value, e.g. a=3,B=1")
             sp.add_argument("--grid", help="grid spec min:max:n (default per model)")
-        sp.add_argument("--config", help="key=value config file (flags win)")
         if fmt:
-            sp.add_argument("--format", choices=fmt, default=None if model else fmt[0])
-        if out:
-            sp.add_argument("--out", help="write output to this path (atomic)")
+            sp.add_argument("--format", choices=fmt, default=fmt[0])
+        sp.add_argument("--out", help="write output to this path (atomic)")
 
     sp = sub.add_parser("list", help="catalog metadata")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out")
+    add_common(sp, model=False)
     sp.set_defaults(func=cmd_list)
 
     sp = sub.add_parser("spectrum", help="bound-state energies")
     add_common(sp)
-    sp.add_argument("--levels", type=int, default=None)
-    sp.add_argument("--route", choices=("shape", "algebra", "both"), default=None)
+    sp.add_argument("--levels", type=int, default=3)
+    sp.add_argument("--route", choices=("shape", "algebra", "both"), default="shape")
     sp.add_argument("--m", type=float, default=None, help="sector index (algebra route); default a+1/2")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("verify", help="certify analytic spectrum against the eigensolver")
     add_common(sp)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--levels", type=int, default=None)
+    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--levels", type=int, default=None, help="default min(bound states, 5)")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("wavefunction", help="emit the n-th bound state")
@@ -439,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub_algebra.add_parser("check", help="closure and commutator residuals")
     add_common(sp)
     sp.add_argument("--m", type=float, required=True, help="sector index")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=1e-4)
     sp.set_defaults(func=cmd_algebra_check)
 
     sp_reps = sub.add_parser("reps", help="SO(2,1) representation queries")
@@ -448,23 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub_reps.add_parser("classify", help="match (j, m0) to a class")
     sp.add_argument("--j", type=float, required=True)
     sp.add_argument("--m0", type=float, required=True)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_reps_classify, config=None)
+    add_common(sp, model=False)
+    sp.set_defaults(func=cmd_reps_classify)
 
     sp = sub_reps.add_parser("enumerate", help="list m-values of a multiplet")
     sp.add_argument("--j", type=float, required=True)
     sp.add_argument("--m0", type=float, required=True)
     sp.add_argument("--count", type=int, default=8)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_reps_enumerate, config=None)
+    add_common(sp, model=False)
+    sp.set_defaults(func=cmd_reps_enumerate)
 
     sp = sub_reps.add_parser("region-grid", help="CSV raster of allowed regions")
     sp.add_argument("--j", required=True, help="range min:max:step")
     sp.add_argument("--m", required=True, help="range min:max:step")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_reps_region_grid, config=None)
+    add_common(sp, model=False, fmt=None)
+    sp.set_defaults(func=cmd_reps_region_grid)
 
     return parser
 
@@ -495,22 +439,16 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_normalize_argv(list(argv)))
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = _load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        return args.func(args, config)
+        for flag in ("levels", "n", "count"):
+            value = getattr(args, flag, None)
+            if value is not None and value > MAX_COUNT:
+                raise ValueError(f"--{flag} {value} exceeds the limit of {MAX_COUNT}")
+        return args.func(args)
     except _USAGE_ERRORS as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except BoundaryContaminationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entrypoint() -> None:

@@ -35,8 +35,6 @@ class Grid:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
-DEFAULT_GRID = Grid(-20.0, 20.0, 4001)
-
 
 @dataclass
 class SampledFunction:

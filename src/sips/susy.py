@@ -17,13 +17,14 @@ from scipy.integrate import cumulative_simpson
 from .catalog import (
     ParameterPoint,
     _require_valid,
+    default_grid,
     get_model,
     max_bound_states,
     potential_minus,
     potential_plus,
 )
 from .errors import InvalidParameterError, LevelOutOfRangeError
-from .grids import DEFAULT_GRID, Grid, SampledFunction, derivative, node_count
+from .grids import Grid, SampledFunction, derivative, node_count
 
 __all__ = [
     "Spectrum",
@@ -124,7 +125,7 @@ def verify_shape_invariance(
     a_{k_max} must be valid.
     """
     model = get_model(model)
-    grid = grid or DEFAULT_GRID
+    grid = grid or default_grid(model)
     points = [shift_params(model, p0, k) for k in range(k_max + 1)]
     for p in points:
         if not model.param_valid(p):
@@ -141,26 +142,17 @@ def verify_shape_invariance(
     return ShapeInvarianceReport(model.id, p0, grid, residuals)
 
 
-def ground_state(
-    model,
-    p: ParameterPoint,
-    grid: Grid | None = None,
-    x_ref: float = 0.0,
-) -> SampledFunction:
-    """Nodeless ground state ψ₀ ∝ exp(-∫_{x_ref}^x W), trapezoid-normalized.
+def ground_state(model, p: ParameterPoint, grid: Grid | None = None) -> SampledFunction:
+    """Nodeless ground state ψ₀ ∝ exp(-∫W), trapezoid-normalized.
 
     The exponent is accumulated by cumulative Simpson quadrature and kept in
     log space until the very end, so steep superpotentials cannot overflow.
-    The reference point only changes ψ₀ by a constant factor, which
-    normalization removes.
     """
     model = get_model(model)
-    grid = grid or DEFAULT_GRID
+    grid = grid or default_grid(model)
     _require_valid(model, p)
-    x = grid.x
-    w = np.asarray(model.w(x, p), dtype=float)
-    integral = cumulative_simpson(w, dx=grid.h, initial=0.0)
-    log_psi = -(integral - np.interp(x_ref, x, integral))
+    w = np.asarray(model.w(grid.x, p), dtype=float)
+    log_psi = -cumulative_simpson(w, dx=grid.h, initial=0.0)
     log_psi -= np.max(log_psi)
     psi = SampledFunction(grid, np.exp(log_psi))
     norm = psi.norm()
@@ -195,7 +187,7 @@ def excited_state_by_ladder(
     itself. Unit norm, sign fixed so the leading lobe is positive.
     """
     model = get_model(model)
-    grid = grid or DEFAULT_GRID
+    grid = grid or default_grid(model)
     n_levels = max_bound_states(model, p0)
     if not 0 <= n < n_levels:
         raise LevelOutOfRangeError(

@@ -8,6 +8,7 @@ from sips import (
     LevelOutOfRangeError,
     ParameterPoint,
     closed_form_energy,
+    default_grid,
     evaluate_superpotential,
     list_models,
     max_bound_states,
@@ -99,6 +100,19 @@ _POINTS = {
     "morse": [ParameterPoint(3, {"B": 1}), ParameterPoint(4.5, {"B": 1}), ParameterPoint(2.5, {"B": 0.8})],
     "oscillator": [ParameterPoint(1.0)],
 }
+
+
+def test_closed_form_energy_at_large_a():
+    # n·(2a - n) is exact where a² - (a - n)² cancels and finite where a² overflows
+    assert closed_form_energy("scarf", ParameterPoint(1e9, {"B": 0.0}), 2) == 3999999996.0
+    assert closed_form_energy("poschl_teller", ParameterPoint(1e200), 1) == 2e200
+
+
+@pytest.mark.parametrize("model_id", sorted(MODELS))
+def test_default_grid_is_model_box(model_id):
+    grid = default_grid(model_id)
+    assert (grid.x_min, grid.x_max) == get_model(model_id).default_box
+    assert grid.n_points == 4001
 
 
 @pytest.mark.parametrize("model_id", sorted(MODELS))

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sips import compare_spectra
-from sips.cli import main, parse_grid_spec, parse_params, parse_range_spec
+from sips.cli import MAX_COUNT, main, parse_grid_spec, parse_params, parse_range_spec
 from sips.export import read_json
 
 
@@ -281,29 +285,123 @@ def test_reps_region_grid(tmp_path, capsys):
     }
 
 
-def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("model = scarf\nparams = a=3,B=1\nlevels = 2\n")
-    code, out, _ = run(capsys, "spectrum", "--config", str(config))
+def test_algebra_check_boundary_contamination_is_usage_error(capsys):
+    # the gaussian test functions reach the edge of the morse box [-6, 20]
+    code, out, err = run(
+        capsys, "algebra", "check", "--model", "morse", "--m", "3", "--params", "B=1"
+    )
+    usage_error(code, out, err)
+    assert "grid edge" in err
+
+
+def test_spectrum_routes_agree_at_large_a(capsys):
+    # a² - (a - n)² cancels to the wrong integer at a = 1e9; n·(2a - n) does not
+    code, out, _ = run(
+        capsys, "spectrum", "--model", "scarf", "--params", "a=1e9",
+        "--levels", "3", "--route", "both",
+    )
     assert code == 0
-    assert "0  5" in out and "8" not in out
-    # explicit flag beats the config value
-    code, out, _ = run(capsys, "spectrum", "--config", str(config), "--levels", "3")
+    assert "0  1999999999  3999999996" in out
+    assert "DISAGREEMENT" not in out
+
+
+def test_spectrum_huge_a_does_not_overflow(capsys):
+    code, out, _ = run(
+        capsys, "spectrum", "--model", "scarf", "--params", "a=1e200", "--route", "both"
+    )
+    assert code == 0
+    assert "0  2e+200  4e+200" in out
+
+
+def test_wavefunction_huge_a_is_usage_error(capsys):
+    # E_0 no longer overflows; V- = W² does, and the referee rejects it
+    code, _, err = run(
+        capsys, "wavefunction", "--model", "poschl_teller", "--params", "a=1e200", "--n", "0"
+    )
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error: potential is non-finite")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "scarf", "--params", "a=1e9,B=1", "--levels", "1000000000"],
+        ["verify", "--model", "oscillator", "--levels", str(MAX_COUNT + 1)],
+        ["wavefunction", "--model", "oscillator", "--n", str(MAX_COUNT + 1)],
+        ["reps", "enumerate", "--j", "-1.5", "--m0", "1.5", "--count", str(MAX_COUNT + 1)],
+    ],
+)
+def test_counts_above_limit_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    usage_error(code, out, err)
+    assert "exceeds the limit" in err
+
+
+def test_count_at_limit_accepted(capsys):
+    code, out, _ = run(
+        capsys, "spectrum", "--model", "scarf", "--params", "a=3,B=1", "--levels", str(MAX_COUNT)
+    )
     assert code == 0
     assert "0  5  8" in out
 
 
-def test_env_var_grid_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SIPS_DEFAULT_GRID", "-10:10:801")
-    out_path = tmp_path / "psi.csv"
-    code, _, _ = run(
-        capsys,
-        "wavefunction", "--model", "scarf", "--params", "a=3,B=1",
-        "--n", "0", "--out", str(out_path),
-    )
-    assert code == 0
-    body = out_path.read_text().partition("x,psi")[2]
-    assert len(body.strip().splitlines()) == 801
+# Strategies over the CLI grammar. Grid and raster sizes stay small (at most
+# 4001 points, no region-grid): neither is capped yet.
+_MODEL_IDS = st.sampled_from(["scarf", "poschl_teller", "morse", "oscillator", "rosen_morse"])
+_REALS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e300", "-1e300", "0", "-2", "-0.5"]
+) | st.floats(0.1, 12.0).map(repr)
+_COUNTS = st.sampled_from(
+    [-2, 0, 1, 2, MAX_COUNT, MAX_COUNT + 1, 2_000_000_000]
+) | st.integers(-2, 40)
+_GRIDS = st.builds(
+    "{}:{}:{}".format,
+    st.sampled_from([-20, -6, 0, 5, "nan", "-inf"]),
+    st.sampled_from([-5, 0, 20, "inf"]),
+    st.integers(-1, 4001),
+) | st.sampled_from(["", "-20:20", "a:b:c", "-20:20:4001.5", "1:2:3:4"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["list", "spectrum", "verify", "wavefunction", "algebra", "classify", "enumerate"]
+    ))
+    if command == "list":
+        return ["list"]
+    if command in ("classify", "enumerate"):
+        argv = ["reps", command, "--j", draw(_REALS), "--m0", draw(_REALS)]
+        if command == "enumerate":
+            argv += ["--count", str(draw(_COUNTS))]
+        return argv
+    argv = ["algebra", "check"] if command == "algebra" else [command]
+    params = f"a={draw(_REALS)},B={draw(_REALS)}"
+    argv += ["--model", draw(_MODEL_IDS), "--params",
+             draw(st.sampled_from([params, params.partition(",")[0], "B=1"]))]
+    if command != "spectrum" and draw(st.booleans()):
+        argv += ["--grid", draw(_GRIDS)]
+    if command in ("spectrum", "verify"):
+        argv += ["--levels", str(draw(_COUNTS))]
+    if command == "spectrum":
+        argv += ["--route", draw(st.sampled_from(["shape", "algebra", "both"]))]
+    if command in ("spectrum", "algebra"):
+        argv += ["--m", draw(_REALS)]
+    if command == "wavefunction":
+        argv += ["--n", str(draw(_COUNTS))]
+    return argv
+
+
+@given(argv=_argv())
+@settings(max_examples=100, deadline=None)
+def test_cli_total_over_argv_grammar(argv):
+    # every input ends in exit 0, 1 or 2: no other exception escapes main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2)
 
 
 def test_export_json_roundtrip(tmp_path):

@@ -14,6 +14,7 @@ from sips import (
     SampledFunction,
     apply_a_plus,
     closed_form_energy,
+    default_grid,
     discretize_hamiltonian,
     excited_state_by_ladder,
     ground_state,
@@ -104,6 +105,13 @@ def test_shape_invariance_no_shifts():
     assert report.max_residual == 0.0
 
 
+def test_shape_invariance_default_grid_is_model_box():
+    # on a fixed [-20, 20] box e^(-2x) costs W² its digits (residual 64)
+    report = verify_shape_invariance("morse", ParameterPoint(5.0, {"B": 1.0}))
+    assert report.max_residual < 1e-9
+    assert report.grid == default_grid("morse")
+
+
 def test_ground_state_rejects_nonfinite_params(ref_grid):
     with pytest.raises(InvalidParameterError, match="finite"):
         ground_state("scarf", ParameterPoint(3.0, {"B": np.inf}), ref_grid)
@@ -126,12 +134,6 @@ def test_ground_state_scarf_symmetric(ref_grid):
     exact /= np.sqrt(np.trapezoid(exact**2, dx=ref_grid.h))
     assert np.max(np.abs(psi.values - exact)) < 1e-6
     assert np.max(np.abs(psi.values - psi.values[::-1])) < 1e-12
-
-
-def test_ground_state_reference_point_is_immaterial(ref_grid, scarf_p):
-    base = ground_state("scarf", scarf_p, ref_grid, x_ref=0.0)
-    shifted = ground_state("scarf", scarf_p, ref_grid, x_ref=-3.7)
-    assert np.max(np.abs(base.values - shifted.values)) < 1e-12
 
 
 def test_ground_state_oracle_residual(ref_grid, scarf_p):
