@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .catalog import ParameterPoint, get_model, max_bound_states
+from .catalog import ParameterPoint, _partner_potential, get_model, max_bound_states
 from .errors import BoundaryContaminationError, NotSO21Error
 from .grids import SampledFunction, derivative
 from .susy import Spectrum
@@ -54,11 +54,10 @@ class SectorFunction:
     f: SampledFunction
 
 
-def _sector_point(model, m_shifted: float, p: ParameterPoint | None) -> ParameterPoint:
+def _sector_point(m_shifted: float, p: ParameterPoint | None) -> ParameterPoint:
     # Algebra bookkeeping may pass through a = m ± 1/2 values that a bound-state
     # calculation would reject (e.g. a = 0), so W is evaluated unchecked.
-    aux = p.aux if p is not None else {}
-    return ParameterPoint(m_shifted, aux)
+    return ParameterPoint(m_shifted, p.aux if p is not None else {})
 
 
 def apply_j3(s: SectorFunction) -> SectorFunction:
@@ -66,22 +65,22 @@ def apply_j3(s: SectorFunction) -> SectorFunction:
     return SectorFunction(s.m, SampledFunction(s.f.grid, s.m * s.f.values))
 
 
-def apply_j_plus(model, s: SectorFunction, p: ParameterPoint | None = None) -> SectorFunction:
-    """Raise the sector: m → m + 1, values +f' - W(x, m + 1/2)·f."""
+def _apply_ladder(model, s: SectorFunction, p: ParameterPoint | None, sign: float) -> SectorFunction:
     model = get_model(model)
     grid = s.f.grid
-    w = np.asarray(model.w(grid.x, _sector_point(model, s.m + 0.5, p)), dtype=float)
-    values = derivative(s.f.values, grid.h) - w * s.f.values
-    return SectorFunction(s.m + 1.0, SampledFunction(grid, values))
+    w = np.asarray(model.w(grid.x, _sector_point(s.m + 0.5 * sign, p)), dtype=float)
+    values = sign * derivative(s.f.values, grid.h) - w * s.f.values
+    return SectorFunction(s.m + sign, SampledFunction(grid, values))
+
+
+def apply_j_plus(model, s: SectorFunction, p: ParameterPoint | None = None) -> SectorFunction:
+    """Raise the sector: m → m + 1, values +f' - W(x, m + 1/2)·f."""
+    return _apply_ladder(model, s, p, 1.0)
 
 
 def apply_j_minus(model, s: SectorFunction, p: ParameterPoint | None = None) -> SectorFunction:
     """Lower the sector: m → m - 1, values -f' - W(x, m - 1/2)·f."""
-    model = get_model(model)
-    grid = s.f.grid
-    w = np.asarray(model.w(grid.x, _sector_point(model, s.m - 0.5, p)), dtype=float)
-    values = -derivative(s.f.values, grid.h) - w * s.f.values
-    return SectorFunction(s.m - 1.0, SampledFunction(grid, values))
+    return _apply_ladder(model, s, p, -1.0)
 
 
 def _l2(values: NDArray[np.float64]) -> float:
@@ -141,16 +140,15 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
     jp_jm = apply_j_plus(model, apply_j_minus(model, s, p), p).f.values
     jm_jp = apply_j_minus(model, apply_j_plus(model, s, p), p).f.values
     commutator = jp_jm - jm_jp
-    r_value = model.remainder(_sector_point(model, s.m + 0.5, p))
+    p_minus = _sector_point(s.m - 0.5, p)
+    p_plus = _sector_point(s.m + 0.5, p)
+    r_value = model.remainder(p_plus)
     closure = _l2(commutator + r_value * f) / norm_f
 
     # Same double-stencil second derivative for the reference Hamiltonians.
     f_xx = derivative(derivative(f, grid.h), grid.h)
-    x = grid.x
-    p_minus = _sector_point(model, s.m - 0.5, p)
-    p_plus = _sector_point(model, s.m + 0.5, p)
-    v_minus = model.w(x, p_minus) ** 2 - model.w_prime(x, p_minus)
-    v_plus = model.w(x, p_plus) ** 2 + model.w_prime(x, p_plus)
+    v_minus = _partner_potential(model, grid.x, p_minus, -1.0)
+    v_plus = _partner_potential(model, grid.x, p_plus, 1.0)
     product_pm = _l2(jp_jm - (-f_xx + v_minus * f)) / norm_f
     product_mp = _l2(jm_jp - (-f_xx + v_plus * f)) / norm_f
 
@@ -203,7 +201,7 @@ def is_so21(model) -> So21Check:
 
 def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Spectrum:
     """Spectrum through the algebra route: sector m hosts the family member
-    with a₀ = m - 1/2, and E_n = a₀² - (n - a₀)² = n·(2a₀ - n).
+    with a₀ = m - 1/2, and E_n is the catalog's closed form n·(2a₀ - n).
 
     Only defined for models in the SO(2,1) class.
     """
@@ -214,7 +212,6 @@ def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Sp
     a0 = m - 0.5
     p0 = ParameterPoint(a0, aux or {})
     n_levels = min(n_max, max_bound_states(model, p0))
-    n = np.arange(n_levels)
-    energies = n * (2.0 * a0 - n)
+    energies = [model.energy(p0, n) for n in range(n_levels)]
     points = [p0.with_a(a0 - k) for k in range(n_levels)]
     return Spectrum(model.id, p0, energies, points)

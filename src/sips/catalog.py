@@ -21,6 +21,7 @@ module reports it as outside the SO(2,1) class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -61,6 +62,10 @@ class ParameterPoint:
 
     def get(self, name: str, default: float = 0.0) -> float:
         return float(self.aux.get(name, default))
+
+    def as_dict(self) -> dict:
+        """``{"a": a, **aux}``, the form every report prints."""
+        return {"a": self.a, **dict(self.aux)}
 
 
 @dataclass(frozen=True)
@@ -149,53 +154,46 @@ def _oscillator_w_prime(x, p: ParameterPoint):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-_SCARF = SuperpotentialModel(
-    id="scarf",
+# The slope-2 class (Cooper, Khare and Sukhatme, Phys. Rep. 251 (1995) 267): δ = -1,
+# R(a) = 2a - 1, E_n = n(2a - n), ⌈a⌉ levels below the edge a², valid for a > 0.
+_slope_two = functools.partial(
+    SuperpotentialModel,
     domain="full-line",
-    param_names=("a", "B"),
     param_step=-1.0,
-    w=_scarf_w,
-    w_prime=_scarf_w_prime,
     remainder=_sip_remainder,
     energy=_sip_energy,
     bound_states=_sip_level_count,
     param_valid=lambda p: p.a > 0,
-    validity="a > 0; B any real (ground state ~ cosh^-a(x) e^(-B gd(x)) is normalizable for all B)",
     continuum_edge=lambda p: p.a**2,
+)
+
+_SCARF = _slope_two(
+    id="scarf",
+    param_names=("a", "B"),
+    w=_scarf_w,
+    w_prime=_scarf_w_prime,
+    validity="a > 0; B any real (ground state ~ cosh^-a(x) e^(-B gd(x)) is normalizable for all B)",
     default_box=(-20.0, 20.0),
 )
 
-_POSCHL_TELLER = SuperpotentialModel(
+_POSCHL_TELLER = _slope_two(
     id="poschl_teller",
-    domain="full-line",
     param_names=("a",),
-    param_step=-1.0,
     w=_poschl_teller_w,
     w_prime=_poschl_teller_w_prime,
-    remainder=_sip_remainder,
-    energy=_sip_energy,
-    bound_states=_sip_level_count,
-    param_valid=lambda p: p.a > 0,
     validity="a > 0",
-    continuum_edge=lambda p: p.a**2,
     default_box=(-20.0, 20.0),
 )
 
 # Closed forms for morse are catalog-supplied and certified against the
 # finite-difference eigensolver in the test suite (three parameter points).
-_MORSE = SuperpotentialModel(
+_MORSE = _slope_two(
     id="morse",
-    domain="full-line",
     param_names=("a", "B"),
-    param_step=-1.0,
     w=_morse_w,
     w_prime=_morse_w_prime,
-    remainder=_sip_remainder,
-    energy=_sip_energy,
-    bound_states=_sip_level_count,
     param_valid=lambda p: p.a > 0 and p.get("B") > 0,
     validity="a > 0 and B > 0",
-    continuum_edge=lambda p: p.a**2,
     # e^(-2x) grows so fast to the left that W² loses the digits the
     # shape-invariance identity needs; -6 keeps V below ~1e6 at B ~ 1 while
     # the ground state (peaked near x = -ln(B/a)) is long dead by the edge.
@@ -259,29 +257,38 @@ def evaluate_superpotential(model, x, p: ParameterPoint):
     return model.w(x, p)
 
 
+def _partner_potential(model: SuperpotentialModel, x, p: ParameterPoint, sign: float):
+    # V∓ = W² ∓ W' (sign -1 gives V-), unchecked: the algebra evaluates it at
+    # sector points a = m ± 1/2 that may lie outside the valid range.
+    return model.w(x, p) ** 2 + sign * model.w_prime(x, p)
+
+
 def potential_minus(model, x, p: ParameterPoint):
     """V-(x; p) = W² - W', the potential whose ground state sits at E = 0."""
     model = get_model(model)
     _require_valid(model, p)
-    return model.w(x, p) ** 2 - model.w_prime(x, p)
+    return _partner_potential(model, x, p, -1.0)
 
 
 def potential_plus(model, x, p: ParameterPoint):
     """V+(x; p) = W² + W', the partner potential."""
     model = get_model(model)
     _require_valid(model, p)
-    return model.w(x, p) ** 2 + model.w_prime(x, p)
+    return _partner_potential(model, x, p, 1.0)
+
+
+def _require_level(model: SuperpotentialModel, p: ParameterPoint, n: int) -> None:
+    n_max = max_bound_states(model, p)
+    if not 0 <= n < n_max:
+        raise LevelOutOfRangeError(
+            f"{model.id}: level n={n} outside bound range 0..{n_max - 1}"
+        )
 
 
 def closed_form_energy(model, p: ParameterPoint, n: int) -> float:
     """Closed-form energy of level n (0-indexed; E₀ = 0)."""
     model = get_model(model)
-    _require_valid(model, p)
-    n_max = model.bound_states(p)
-    if not 0 <= n < n_max:
-        raise LevelOutOfRangeError(
-            f"{model.id}: level n={n} outside bound range 0..{n_max - 1}"
-        )
+    _require_level(model, p, n)
     return float(model.energy(p, n))
 
 

@@ -7,7 +7,8 @@ reps {classify, enumerate, region-grid}. Exit codes: 0 success,
 Every default is an argparse default, except two that depend on the model:
 without --grid a command runs on catalog.default_grid(model), the grid the
 library uses too, and verify's --levels defaults to min(bound states, 5).
---levels, --n and --count above MAX_COUNT are rejected, so no input can ask
+--levels, --n and --count above MAX_COUNT, and --grid point counts and
+region-grid cell counts above MAX_POINTS, are rejected, so no input can ask
 for unbounded work.
 """
 
@@ -28,6 +29,8 @@ from .grids import Grid, SampledFunction, node_count
 ROUTE_AGREEMENT_TOL = 1e-9
 # Largest --levels, --n or --count accepted; each asks for work in proportion.
 MAX_COUNT = 10_000
+# Largest --grid point count or reps region-grid cell count (j count × m count).
+MAX_POINTS = 1_000_000
 
 _USAGE_ERRORS = (SipsError, KeyError, ValueError)
 
@@ -37,7 +40,10 @@ def parse_grid_spec(spec: str) -> Grid:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be min:max:n, got {spec!r}")
-    return Grid(float(parts[0]), float(parts[1]), int(parts[2]))
+    n_points = int(parts[2])
+    if n_points > MAX_POINTS:
+        raise ValueError(f"--grid of {n_points} points exceeds the limit of {MAX_POINTS}")
+    return Grid(float(parts[0]), float(parts[1]), n_points)
 
 
 def parse_range_spec(spec: str) -> np.ndarray:
@@ -46,8 +52,11 @@ def parse_range_spec(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"range spec must be min:max:step, got {spec!r}")
     lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad range {spec!r}: need min <= max and step > 0")
+    if not (0.0 < step < np.inf and lo <= hi):
+        raise ValueError(f"bad range {spec!r}: need min <= max and a finite step > 0")
+    # np.arange's length, counted before it allocates anything
+    if not (hi + 0.5 * step - lo) / step <= MAX_POINTS:
+        raise ValueError(f"range {spec!r} exceeds the limit of {MAX_POINTS} points")
     return np.arange(lo, hi + 0.5 * step, step)
 
 
@@ -92,10 +101,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _params_dict(p: ParameterPoint) -> dict:
-    return {"a": p.a, **dict(p.aux)}
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -122,7 +127,7 @@ def cmd_spectrum(args) -> int:
     default_a = m_value - 0.5 if (route == "algebra" and m_value is not None) else None
     p = parse_params(model, args.params, default_a=default_a)
 
-    payload: dict = {"model": model.id, "params": _params_dict(p), "route": route}
+    payload: dict = {"model": model.id, "params": p.as_dict(), "route": route}
     lines = []
     if route in ("shape", "both"):
         shape_spec = susy.spectrum_by_shape_invariance(model, p, levels)
@@ -168,7 +173,7 @@ def cmd_verify(args) -> int:
 
     payload = {
         "model": model.id,
-        "params": _params_dict(p),
+        "params": p.as_dict(),
         "grid": [grid.x_min, grid.x_max, grid.n_points],
         "tol": tol,
         "shape_invariance": si_report.to_dict(),
@@ -179,7 +184,7 @@ def cmd_verify(args) -> int:
         _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = [
-            f"model {model.id}  params {_params_dict(p)}",
+            f"model {model.id}  params {p.as_dict()}",
             f"shape-invariance max residual: {si_report.max_residual:.3e} "
             f"({'ok' if si_ok else 'FAIL'} at tol {tol:g})",
             f"spectrum analytic: {export.format_energies(comparison.analytic)}",
@@ -206,7 +211,7 @@ def cmd_wavefunction(args) -> int:
     nodes = node_count(psi)
     metadata = {
         "model": model.id,
-        "params": _params_dict(p),
+        "params": p.as_dict(),
         "n": n,
         "energy": energy,
         "node_count": nodes,
@@ -214,7 +219,7 @@ def cmd_wavefunction(args) -> int:
     }
     if args.format == "json":
         record = export.wavefunction_record(
-            model.id, _params_dict(p), n, energy, psi,
+            model.id, p.as_dict(), n, energy, psi,
             node_count=nodes, oracle_residual=residual,
         )
         _emit(json.dumps(record, indent=2), args.out)
@@ -328,6 +333,8 @@ def cmd_reps_enumerate(args) -> int:
 def cmd_reps_region_grid(args) -> int:
     j_values = parse_range_spec(args.j)
     m_values = parse_range_spec(args.m)
+    if j_values.size * m_values.size > MAX_POINTS:
+        raise ValueError(f"raster of {j_values.size}x{m_values.size} cells exceeds the limit of {MAX_POINTS}")
     lines = ["j,m,region"]
     for j in j_values:
         for m in m_values:
@@ -444,7 +451,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value > MAX_COUNT:
                 raise ValueError(f"--{flag} {value} exceeds the limit of {MAX_COUNT}")
-        return args.func(args)
+        # explicit finiteness checks reject what overflows; numpy's warnings are noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _USAGE_ERRORS as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -21,10 +21,11 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
             raise ValueError(f"need at least 3 points, got {self.n_points}")
+        # a finite spacing implies finite bounds
+        if not (self.x_min < self.x_max and np.isfinite(self.h)):
+            raise ValueError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}], h={self.h}")
 
     @property
     def h(self) -> float:
@@ -58,10 +59,14 @@ class SampledFunction:
         return float(np.sqrt(np.trapezoid(self.values**2, dx=self.grid.h)))
 
     def normalized(self) -> "SampledFunction":
+        """The state convention shared by every route: unit trapezoidal norm,
+        sign chosen so the first value above 1% of the peak is positive."""
         n = self.norm()
         if not np.isfinite(n) or n == 0.0:
             raise ValueError(f"cannot normalize: norm is {n}")
-        return SampledFunction(self.grid, self.values / n)
+        values = self.values / n
+        first = np.argmax(np.abs(values) > 1e-2 * np.max(np.abs(values)))
+        return SampledFunction(self.grid, -values if values[first] < 0 else values)
 
 
 # O(h^4) first-derivative stencils. Rows: offsets and weights/(12h) for the

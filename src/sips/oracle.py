@@ -111,18 +111,13 @@ def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
     inverse iteration (stein).
 
     Returns the wavefunction on the full grid (zeros re-attached at the
-    Dirichlet walls), trapezoid-normalized, with the sign fixed so the first
-    sizable component is positive.
+    Dirichlet walls), normalized as every state is (SampledFunction.normalized).
     """
     _, vectors = eigh_tridiagonal(
         T.diag, T.off, select="i", select_range=(index, index)
     )
-    v = vectors[:, 0]
-    first = np.argmax(np.abs(v) > 1e-2 * np.max(np.abs(v)))
-    if v[first] < 0:
-        v = -v
     full = np.zeros(T.grid.n_points)
-    full[1:-1] = v
+    full[1:-1] = vectors[:, 0]
     return SampledFunction(T.grid, full).normalized()
 
 
@@ -130,8 +125,9 @@ def spectrum(model, p: ParameterPoint, grid: Grid, k: int) -> NDArray[np.float64
     """The k lowest levels of -d²/dx² + V-(x; p) discretized on ``grid``.
 
     For families with a continuum edge, the Sturm count certifies that the
-    discretized H holds at least k levels below it; a grid too coarse to
-    resolve them raises GridTooCoarseError instead of returning box states.
+    discretized H holds at least k levels below it, and h·√(edge - min V) <= 1
+    that the spacing resolves the shortest local wavelength; a grid too coarse
+    for either raises GridTooCoarseError instead of returning box states.
     """
     model = get_model(model)
     T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
@@ -142,6 +138,11 @@ def spectrum(model, p: ParameterPoint, grid: Grid, k: int) -> NDArray[np.float64
             raise GridTooCoarseError(
                 f"{grid.n_points}-point grid on [{grid.x_min:g}, {grid.x_max:g}] "
                 f"holds {below} of {k} levels below the continuum edge {edge:g}"
+            )
+        depth = edge - (np.min(T.diag) - 2.0 / grid.h**2)
+        if grid.h * np.sqrt(max(depth, 0.0)) > 1.0:
+            raise GridTooCoarseError(
+                f"grid spacing h={grid.h:g} cannot resolve a well {depth:g} deep (need h·√depth <= 1)"
             )
     return lowest_eigenvalues(T, k)
 

@@ -16,6 +16,7 @@ from scipy.integrate import cumulative_simpson
 
 from .catalog import (
     ParameterPoint,
+    _require_level,
     _require_valid,
     default_grid,
     get_model,
@@ -23,7 +24,6 @@ from .catalog import (
     potential_minus,
     potential_plus,
 )
-from .errors import InvalidParameterError, LevelOutOfRangeError
 from .grids import Grid, SampledFunction, derivative, node_count
 
 __all__ = [
@@ -62,7 +62,7 @@ class Spectrum:
     def to_dict(self) -> dict:
         return {
             "model": self.model_id,
-            "params": {"a": self.p0.a, **dict(self.p0.aux)},
+            "params": self.p0.as_dict(),
             "energies": self.energies.tolist(),
             "level_a": [p.a for p in self.level_params],
         }
@@ -108,7 +108,7 @@ class ShapeInvarianceReport:
     def to_dict(self) -> dict:
         return {
             "model": self.model_id,
-            "params": {"a": self.p0.a, **dict(self.p0.aux)},
+            "params": self.p0.as_dict(),
             "grid": [self.grid.x_min, self.grid.x_max, self.grid.n_points],
             "residuals": self.residuals.tolist(),
             "max_residual": self.max_residual,
@@ -122,17 +122,11 @@ def verify_shape_invariance(
 
     Residual k is max over interior grid points of
     |V+(x, a_k) - V-(x, a_{k+1}) - R(a_k)|; all parameter points through
-    a_{k_max} must be valid.
+    a_{k_max} must be valid (InvalidParameterError otherwise).
     """
     model = get_model(model)
     grid = grid or default_grid(model)
     points = [shift_params(model, p0, k) for k in range(k_max + 1)]
-    for p in points:
-        if not model.param_valid(p):
-            raise InvalidParameterError(
-                f"{model.id}: shifted parameter a={p.a} leaves the valid range "
-                f"({model.validity}); reduce k_max or start higher"
-            )
     x = grid.x[1:-1]
     residuals = np.empty(k_max)
     for k in range(k_max):
@@ -143,7 +137,7 @@ def verify_shape_invariance(
 
 
 def ground_state(model, p: ParameterPoint, grid: Grid | None = None) -> SampledFunction:
-    """Nodeless ground state ψ₀ ∝ exp(-∫W), trapezoid-normalized.
+    """Nodeless ground state ψ₀ ∝ exp(-∫W), normalized as every state is.
 
     The exponent is accumulated by cumulative Simpson quadrature and kept in
     log space until the very end, so steep superpotentials cannot overflow.
@@ -154,13 +148,7 @@ def ground_state(model, p: ParameterPoint, grid: Grid | None = None) -> SampledF
     w = np.asarray(model.w(grid.x, p), dtype=float)
     log_psi = -cumulative_simpson(w, dx=grid.h, initial=0.0)
     log_psi -= np.max(log_psi)
-    psi = SampledFunction(grid, np.exp(log_psi))
-    norm = psi.norm()
-    if not np.isfinite(norm) or norm == 0.0:
-        raise InvalidParameterError(
-            f"{model.id}: ground state at a={p.a} is not normalizable on this grid"
-        )
-    return SampledFunction(grid, psi.values / norm)
+    return SampledFunction(grid, np.exp(log_psi)).normalized()
 
 
 def apply_a_plus(model, p: ParameterPoint, f: SampledFunction) -> SampledFunction:
@@ -171,12 +159,6 @@ def apply_a_plus(model, p: ParameterPoint, f: SampledFunction) -> SampledFunctio
     return SampledFunction(f.grid, raised)
 
 
-def _sign_fixed(values: NDArray[np.float64]) -> NDArray[np.float64]:
-    sizable = np.abs(values) > 1e-2 * np.max(np.abs(values))
-    first = int(np.argmax(sizable))
-    return -values if values[first] < 0 else values
-
-
 def excited_state_by_ladder(
     model, p0: ParameterPoint, n: int, grid: Grid | None = None
 ) -> SampledFunction:
@@ -184,17 +166,12 @@ def excited_state_by_ladder(
 
     Anchors on the ground state of the n-times-shifted member and applies the
     raising operator at a_{n-1}, ..., a_0; n = 0 returns the ground state
-    itself. Unit norm, sign fixed so the leading lobe is positive.
+    itself, normalized as every state is (SampledFunction.normalized).
     """
     model = get_model(model)
     grid = grid or default_grid(model)
-    n_levels = max_bound_states(model, p0)
-    if not 0 <= n < n_levels:
-        raise LevelOutOfRangeError(
-            f"{model.id}: level n={n} outside bound range 0..{n_levels - 1}"
-        )
+    _require_level(model, p0, n)
     psi = ground_state(model, shift_params(model, p0, n), grid)
     for k in range(n - 1, -1, -1):
         psi = apply_a_plus(model, shift_params(model, p0, k), psi)
-    psi = psi.normalized()
-    return SampledFunction(grid, _sign_fixed(psi.values))
+    return psi.normalized()

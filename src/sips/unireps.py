@@ -183,7 +183,7 @@ def enumerate_multiplet(rep: RepLabel, count: int) -> Multiplet:
     Bounded-below multiplets climb from m0 = -j, bounded-above descend from
     m0 = j; two-sided classes (supplementary/principal) spread outward from
     m0 in both directions. A positivity failure here would mean the label was
-    constructed inconsistently, and raises.
+    constructed inconsistently, and raises, as does an m0 too large for unit steps.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -196,6 +196,9 @@ def enumerate_multiplet(rep: RepLabel, count: int) -> Multiplet:
         m_values = sorted(rep.m0 + n for n in steps)
     else:
         raise ValueError("cannot enumerate an invalid representation label")
+    # from |m| = 2**53 on, m ± 1 rounds to m or m ± 2; below, steps are 1 to an ulp
+    if any(abs(abs(b - a) - 1.0) > 0.5 for a, b in zip(m_values, m_values[1:])):
+        raise ValueError(f"m0={rep.m0} is too large for unit ladder steps in floating point")
     beta = rep.beta if rep.rep_class is RepClass.D_P else 0.0
     for m in m_values:
         lower_sq, raise_sq = positivity_check(rep.j, m, beta)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sips import compare_spectra
-from sips.cli import MAX_COUNT, main, parse_grid_spec, parse_params, parse_range_spec
+from sips.cli import MAX_COUNT, MAX_POINTS, main, parse_grid_spec, parse_params, parse_range_spec
 from sips.export import read_json
 
 
@@ -148,6 +148,24 @@ def test_verify_single_bound_state(capsys, model, params):
     assert payload["passed"]
     assert payload["shape_invariance"]["residuals"] == []
     assert abs(payload["spectrum"]["numeric"][0]) < 1e-5
+
+
+def test_verify_grid_cannot_resolve_well(capsys):
+    # the Sturm count passes, but h = 0.01 cannot see a well about 1e-9 wide
+    code, out, err = run(capsys, "verify", "--model", "poschl_teller", "--params", "a=1e9")
+    usage_error(code, out, err)
+    assert "cannot resolve" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "wavefunction"])
+@pytest.mark.parametrize("grid", ["0:inf:11", "-1e308:1e308:11", "-inf:0:11"])
+def test_nonfinite_grid_rejected(capsys, command, grid):
+    argv = [command, "--model", "scarf", "--params", "a=3,B=1", "--grid", grid]
+    if command == "wavefunction":
+        argv += ["--n", "0"]
+    code, out, err = run(capsys, *argv)
+    usage_error(code, out, err)
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("params", ["a=inf", "a=3,B=nan"])
@@ -315,11 +333,18 @@ def test_spectrum_huge_a_does_not_overflow(capsys):
 
 def test_wavefunction_huge_a_is_usage_error(capsys):
     # E_0 no longer overflows; V- = W² does, and the referee rejects it
-    code, _, err = run(
+    code, out, err = run(
         capsys, "wavefunction", "--model", "poschl_teller", "--params", "a=1e200", "--n", "0"
     )
-    assert code == 2
-    assert err.splitlines()[-1].startswith("error: potential is non-finite")
+    usage_error(code, out, err)
+    assert err.startswith("error: potential is non-finite")
+
+
+def test_verify_huge_a_is_one_line_usage_error(capsys):
+    # numpy's overflow warnings do not reach stderr
+    code, out, err = run(capsys, "verify", "--model", "scarf", "--params", "a=1e300,B=1")
+    usage_error(code, out, err)
+    assert "non-finite" in err
 
 
 @pytest.mark.parametrize(
@@ -337,6 +362,53 @@ def test_counts_above_limit_rejected(capsys, argv):
     assert "exceeds the limit" in err
 
 
+@pytest.fixture
+def no_oversized_arrays(monkeypatch):
+    # a rejected size must never be allocated, not even briefly
+    linspace, arange = np.linspace, np.arange
+
+    def checked_linspace(start, stop, num=50, **kwargs):
+        assert num <= MAX_POINTS
+        return linspace(start, stop, num, **kwargs)
+
+    def checked_arange(start, stop, step, **kwargs):
+        assert (stop - start) / step <= MAX_POINTS
+        return arange(start, stop, step, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", checked_linspace)
+    monkeypatch.setattr(np, "arange", checked_arange)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", f"-20:20:{MAX_POINTS + 1}"],
+        ["wavefunction", "--model", "oscillator", "--n", "0", "--grid", "-20:20:2000000000"],
+        ["algebra", "check", "--model", "scarf", "--m", "2", "--grid", "-20:20:2000000000"],
+        ["reps", "region-grid", "--j", "0:1:1e-300", "--m", "0:1:1"],
+        ["reps", "region-grid", "--j", "-1e300:1e300:1", "--m", "0:1:1"],
+        ["reps", "region-grid", "--j", "0:1000:1", "--m", "0:1000:1"],
+    ],
+)
+def test_sizes_above_point_limit_rejected(capsys, no_oversized_arrays, argv):
+    code, out, err = run(capsys, *argv)
+    usage_error(code, out, err)
+    assert "limit" in err
+
+
+def test_sizes_at_point_limit_accepted():
+    assert parse_grid_spec(f"-20:20:{MAX_POINTS}").n_points == MAX_POINTS
+    assert parse_range_spec(f"0:{MAX_POINTS - 1}:1").size == MAX_POINTS
+
+
+def test_reps_enumerate_vanishing_steps(capsys):
+    code, out, err = run(
+        capsys, "reps", "enumerate", "--j", "-1e300", "--m0", "1e300", "--count", "10000"
+    )
+    usage_error(code, out, err)
+    assert "ladder steps" in err
+
+
 def test_count_at_limit_accepted(capsys):
     code, out, _ = run(
         capsys, "spectrum", "--model", "scarf", "--params", "a=3,B=1", "--levels", str(MAX_COUNT)
@@ -345,8 +417,8 @@ def test_count_at_limit_accepted(capsys):
     assert "0  5  8" in out
 
 
-# Strategies over the CLI grammar. Grid and raster sizes stay small (at most
-# 4001 points, no region-grid): neither is capped yet.
+# Strategies over the CLI grammar. Accepted grids and rasters stay small (at
+# most 4001 points or cells); every larger draw is above MAX_POINTS.
 _MODEL_IDS = st.sampled_from(["scarf", "poschl_teller", "morse", "oscillator", "rosen_morse"])
 _REALS = st.sampled_from(
     ["nan", "inf", "-inf", "1e300", "-1e300", "0", "-2", "-0.5"]
@@ -356,19 +428,29 @@ _COUNTS = st.sampled_from(
 ) | st.integers(-2, 40)
 _GRIDS = st.builds(
     "{}:{}:{}".format,
-    st.sampled_from([-20, -6, 0, 5, "nan", "-inf"]),
-    st.sampled_from([-5, 0, 20, "inf"]),
-    st.integers(-1, 4001),
+    st.sampled_from([-20, -6, 0, 5, "nan", "-inf", "-1e308"]),
+    st.sampled_from([-5, 0, 20, "inf", "1e308"]),
+    st.integers(-1, 4001) | st.sampled_from([MAX_POINTS + 1, 2_000_000_000]),
 ) | st.sampled_from(["", "-20:20", "a:b:c", "-20:20:4001.5", "1:2:3:4"])
+# At most 33 values per axis unless the range is rejected.
+_RANGES = st.builds(
+    "{}:{}:{}".format,
+    st.sampled_from([-4, 0, "-1e300", "nan", "-inf"]),
+    st.sampled_from([0, 4, "1e300", "inf"]),
+    st.sampled_from([0.25, 1, "1e-300", "1e300", 0, -1, "nan", "inf"]),
+) | st.sampled_from(["", "0:1", "a:b:c"])
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(
-        ["list", "spectrum", "verify", "wavefunction", "algebra", "classify", "enumerate"]
+        ["list", "spectrum", "verify", "wavefunction", "algebra", "classify", "enumerate",
+         "region-grid"]
     ))
     if command == "list":
         return ["list"]
+    if command == "region-grid":
+        return ["reps", "region-grid", "--j", draw(_RANGES), "--m", draw(_RANGES)]
     if command in ("classify", "enumerate"):
         argv = ["reps", command, "--j", draw(_REALS), "--m0", draw(_REALS)]
         if command == "enumerate":

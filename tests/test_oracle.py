@@ -3,6 +3,7 @@ import pytest
 
 from sips import (
     Grid,
+    GridTooCoarseError,
     ParameterPoint,
     SampledFunction,
     compare_spectra,
@@ -16,6 +17,7 @@ from sips import (
     spectrum_by_shape_invariance,
     sturm_count,
 )
+from sips.catalog import default_grid
 
 
 def test_discretization_stencil():
@@ -118,6 +120,20 @@ def test_eigenvector_matches_gaussian(ref_grid):
     exact = np.exp(-ref_grid.x**2 / 2.0)
     exact /= np.sqrt(np.trapezoid(exact**2, dx=ref_grid.h))
     assert np.max(np.abs(psi.values - exact)) < 1e-4
+
+
+@pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)])
+def test_grid_must_be_finite(bounds):
+    # the last pair is finite, but its spacing overflows
+    with pytest.raises(ValueError, match="finite"):
+        Grid(*bounds, 11)
+
+
+def test_spectrum_rejects_unresolved_well():
+    # the a = 1e9 well is about 1/a wide: h = 0.01 cannot see it, although
+    # the Sturm count finds enough levels below the edge
+    with pytest.raises(GridTooCoarseError, match="cannot resolve"):
+        spectrum("poschl_teller", ParameterPoint(1e9), default_grid("poschl_teller"), 3)
 
 
 def test_eigenvector_node_counts(ref_grid, scarf_p):

@@ -94,7 +94,7 @@ def test_shape_invariance_wrong_shift_is_loud(scarf_p):
 
 def test_shape_invariance_invalid_shift(scarf_p):
     # a_3 = 0 leaves the valid range, so k_max = 3 must be rejected for a0 = 3
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="invalid parameters a=0.0"):
         verify_shape_invariance("scarf", scarf_p, Grid(-20, 20, 2001), k_max=3)
 
 
@@ -148,6 +148,14 @@ def test_ground_state_steep_wall_no_overflow():
     psi = ground_state("morse", ParameterPoint(3.0, {"B": 1.0}), Grid(-20.0, 20.0, 4001))
     assert np.all(np.isfinite(psi.values))
     assert node_count(psi) == 0
+
+
+def test_normalized_fixes_norm_and_sign(ref_grid):
+    # the leading (left) lobe starts negative and comes out positive
+    x = ref_grid.x
+    psi = SampledFunction(ref_grid, 3.0 * x * np.exp(-(x**2))).normalized()
+    assert psi.norm() == pytest.approx(1.0, rel=1e-12)
+    assert np.all(psi.values[x < 0] >= 0.0)
 
 
 def test_apply_a_plus_oscillator(ref_grid):

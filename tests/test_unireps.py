@@ -98,6 +98,15 @@ def test_multiplet_steps_are_unit():
         assert np.allclose(np.abs(np.diff(multiplet.m_values)), 1.0)
 
 
+@pytest.mark.parametrize(
+    "rep", [RepLabel.bounded_below(-1e300), RepLabel.bounded_above(-(2.0**53))]
+)
+def test_enumerate_rejects_vanishing_steps(rep):
+    # m0 ± 1 rounds back to m0 (or skips to m0 ± 2): no multiplet to list
+    with pytest.raises(ValueError, match="ladder steps"):
+        enumerate_multiplet(rep, 3)
+
+
 def test_multiplet_reproduces_sector_energies():
     # level n of the a0 = 3 member lives at m = 3.5 in the multiplet with
     # j = n - m; that state sits n steps above the bottom m0 = -j
