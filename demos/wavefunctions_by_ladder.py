@@ -1,8 +1,9 @@
 """Building excited states with raising operators, no diagonalization.
 
-The ground state of each family member is exp(-integral of W), computed by
-quadrature. The n-th state of the a0 member is then a chain of first-order
-raising operators applied to the ground state of the n-times-shifted member.
+The ground state of each family member is exp(-integral of W), with the
+integral in closed form from the catalog. The n-th state of the a0 member is
+then a chain of first-order raising operators applied to the ground state of
+the n-times-shifted member.
 Node counts and eigen-residuals against the finite-difference operator check
 every state.
 """

@@ -4,15 +4,18 @@ Each entry defines a family of 1D Hamiltonians through a superpotential
 W(x; a, ...) whose partner potentials are V∓ = W² ∓ W'. Under the parameter
 shift a → a + δ the partner reproduces the original shape up to an additive
 remainder R(a), and the bound-state energies follow as partial sums of R
-(E₀ = 0 by construction). The catalog stores W and W' in closed form, the
-shift δ, R, the closed-form energies, and parameter-validity rules.
+(E₀ = 0 by construction). The catalog stores W, W' and ∫W in closed form,
+the shift δ, R, the closed-form energies, and parameter-validity rules.
 
 Shipping entries:
 
-    scarf          W = a·tanh x + B·sech x      δ = -1   R(a) = 2a - 1
-    poschl_teller  W = a·tanh x                 δ = -1   R(a) = 2a - 1
-    morse          W = a - B·e^(-x)  (B > 0)    δ = -1   R(a) = 2a - 1
-    oscillator     W = x                        δ = 0    R = 2
+    scarf          W = a·tanh x + B·sech x    ∫W = a·ln cosh x + 2B·arctan(tanh(x/2))  δ = -1  R(a) = 2a - 1
+    poschl_teller  W = a·tanh x               ∫W = a·ln cosh x                         δ = -1  R(a) = 2a - 1
+    morse          W = a - B·e^(-x)  (B > 0)  ∫W = a·x + B·e^(-x)                      δ = -1  R(a) = 2a - 1
+    oscillator     W = x                      ∫W = x²/2                                δ = 0   R = 2
+
+Each ∫W is one antiderivative (its constant is arbitrary); the ground state
+is ψ₀ ∝ exp(-∫W).
 
 All entries live on the full line. The oscillator is a degenerate-shift
 control: its R is constant rather than linear with slope 2, so the algebra
@@ -72,9 +75,10 @@ class ParameterPoint:
 class SuperpotentialModel:
     """One family of shape-invariant potentials.
 
-    ``w`` and ``w_prime`` accept ``(x, p)`` with scalar or array ``x`` and
-    return the same shape. ``remainder`` is R(a) as a function of the
-    parameter point; ``energy`` is the closed-form E_n; ``bound_states``
+    ``w``, ``w_prime`` and ``w_integral`` (an antiderivative of W, up to a
+    constant) accept ``(x, p)`` with scalar or array ``x`` and return the
+    same shape. ``remainder`` is R(a) as a function of the parameter
+    point; ``energy`` is the closed-form E_n; ``bound_states``
     counts normalizable levels; ``continuum_edge`` returns the threshold
     energy above which the spectrum is continuous (None if the potential
     confines on both sides).
@@ -86,6 +90,7 @@ class SuperpotentialModel:
     param_step: float
     w: Callable[[np.ndarray, ParameterPoint], np.ndarray]
     w_prime: Callable[[np.ndarray, ParameterPoint], np.ndarray]
+    w_integral: Callable[[np.ndarray, ParameterPoint], np.ndarray]
     remainder: Callable[[ParameterPoint], float]
     energy: Callable[[ParameterPoint, int], float]
     bound_states: Callable[[ParameterPoint], int]
@@ -121,6 +126,12 @@ def _sip_remainder(p: ParameterPoint) -> float:
     return 2.0 * p.a - 1.0
 
 
+def _log_cosh(x):
+    # ln cosh x = |x| + ln(1 + e^(-2|x|)) - ln 2, finite wherever x is
+    ax = np.abs(np.asarray(x, dtype=float))
+    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+
+
 def _scarf_w(x, p: ParameterPoint):
     return p.a * np.tanh(x) + p.get("B") / np.cosh(x)
 
@@ -128,6 +139,12 @@ def _scarf_w(x, p: ParameterPoint):
 def _scarf_w_prime(x, p: ParameterPoint):
     sech = 1.0 / np.cosh(x)
     return p.a * sech**2 - p.get("B") * sech * np.tanh(x)
+
+
+def _scarf_w_integral(x, p: ParameterPoint):
+    # ∫sech x dx = gd(x) = 2·arctan(tanh(x/2))
+    x = np.asarray(x, dtype=float)
+    return p.a * _log_cosh(x) + 2.0 * p.get("B") * np.arctan(np.tanh(0.5 * x))
 
 
 def _poschl_teller_w(x, p: ParameterPoint):
@@ -138,6 +155,10 @@ def _poschl_teller_w_prime(x, p: ParameterPoint):
     return p.a / np.cosh(x) ** 2
 
 
+def _poschl_teller_w_integral(x, p: ParameterPoint):
+    return p.a * _log_cosh(x)
+
+
 def _morse_w(x, p: ParameterPoint):
     return p.a - p.get("B") * np.exp(-np.asarray(x, dtype=float))
 
@@ -146,12 +167,21 @@ def _morse_w_prime(x, p: ParameterPoint):
     return p.get("B") * np.exp(-np.asarray(x, dtype=float))
 
 
+def _morse_w_integral(x, p: ParameterPoint):
+    x = np.asarray(x, dtype=float)
+    return p.a * x + p.get("B") * np.exp(-x)
+
+
 def _oscillator_w(x, p: ParameterPoint):
     return np.asarray(x, dtype=float)
 
 
 def _oscillator_w_prime(x, p: ParameterPoint):
     return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _oscillator_w_integral(x, p: ParameterPoint):
+    return 0.5 * np.asarray(x, dtype=float) ** 2
 
 
 # The slope-2 class (Cooper, Khare and Sukhatme, Phys. Rep. 251 (1995) 267): δ = -1,
@@ -172,6 +202,7 @@ _SCARF = _slope_two(
     param_names=("a", "B"),
     w=_scarf_w,
     w_prime=_scarf_w_prime,
+    w_integral=_scarf_w_integral,
     validity="a > 0; B any real (ground state ~ cosh^-a(x) e^(-B gd(x)) is normalizable for all B)",
     default_box=(-20.0, 20.0),
 )
@@ -181,6 +212,7 @@ _POSCHL_TELLER = _slope_two(
     param_names=("a",),
     w=_poschl_teller_w,
     w_prime=_poschl_teller_w_prime,
+    w_integral=_poschl_teller_w_integral,
     validity="a > 0",
     default_box=(-20.0, 20.0),
 )
@@ -192,6 +224,7 @@ _MORSE = _slope_two(
     param_names=("a", "B"),
     w=_morse_w,
     w_prime=_morse_w_prime,
+    w_integral=_morse_w_integral,
     param_valid=lambda p: p.a > 0 and p.get("B") > 0,
     validity="a > 0 and B > 0",
     # e^(-2x) grows so fast to the left that W² loses the digits the
@@ -207,6 +240,7 @@ _OSCILLATOR = SuperpotentialModel(
     param_step=0.0,
     w=_oscillator_w,
     w_prime=_oscillator_w_prime,
+    w_integral=_oscillator_w_integral,
     remainder=lambda p: 2.0,
     energy=lambda p, n: 2.0 * n,
     bound_states=lambda p: OSCILLATOR_LEVEL_CAP,

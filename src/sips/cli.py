@@ -335,12 +335,15 @@ def cmd_reps_region_grid(args) -> int:
     m_values = parse_range_spec(args.m)
     if j_values.size * m_values.size > MAX_POINTS:
         raise ValueError(f"raster of {j_values.size}x{m_values.size} cells exceeds the limit of {MAX_POINTS}")
-    lines = ["j,m,region"]
-    for j in j_values:
-        for m in m_values:
-            region = unireps.region_of(float(j), float(m))
-            lines.append(f"{j:.6g},{m:.6g},{region.value}")
-    _emit("\n".join(lines), args.out)
+    codes = unireps.region_index(j_values[:, None], m_values[None, :])
+    # "m,region" text for every m and region, formatted once and picked per
+    # cell; each row then joins its cells behind its "j," prefix
+    cells = np.array(
+        [[f"{m:.6g},{r.value}" for m in m_values.tolist()] for r in unireps.Region], dtype=object
+    )
+    rows = cells[codes, np.arange(m_values.size)].tolist()
+    lines = [f"{j:.6g}," + f"\n{j:.6g},".join(row) for j, row in zip(j_values.tolist(), rows)]
+    _emit("\n".join(["j,m,region", *lines]), args.out)
     return 0
 
 

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .catalog import ParameterPoint, get_model, potential_minus
 from .errors import GridTooCoarseError
@@ -103,6 +102,8 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int) -> NDArray[np.float64]:
         raise ValueError("k must be >= 1")
     if k > T.size:
         raise ValueError(f"requested {k} eigenvalues from a {T.size}-point operator")
+    from scipy.linalg import eigvalsh_tridiagonal  # loaded only when the referee runs
+
     return eigvalsh_tridiagonal(T.diag, T.off, select="i", select_range=(0, k - 1))
 
 
@@ -113,6 +114,8 @@ def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
     Returns the wavefunction on the full grid (zeros re-attached at the
     Dirichlet walls), normalized as every state is (SampledFunction.normalized).
     """
+    from scipy.linalg import eigh_tridiagonal  # loaded only when the referee runs
+
     _, vectors = eigh_tridiagonal(
         T.diag, T.off, select="i", select_range=(index, index)
     )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import cumulative_simpson
 
 from .catalog import (
     ParameterPoint,
@@ -139,14 +138,13 @@ def verify_shape_invariance(
 def ground_state(model, p: ParameterPoint, grid: Grid | None = None) -> SampledFunction:
     """Nodeless ground state ψ₀ ∝ exp(-∫W), normalized as every state is.
 
-    The exponent is accumulated by cumulative Simpson quadrature and kept in
-    log space until the very end, so steep superpotentials cannot overflow.
+    The exponent is the catalog's closed-form ∫W, shifted so that its peak is
+    0 before exponentiating, so steep superpotentials cannot overflow.
     """
     model = get_model(model)
     grid = grid or default_grid(model)
     _require_valid(model, p)
-    w = np.asarray(model.w(grid.x, p), dtype=float)
-    log_psi = -cumulative_simpson(w, dx=grid.h, initial=0.0)
+    log_psi = -np.asarray(model.w_integral(grid.x, p), dtype=float)
     log_psi -= np.max(log_psi)
     return SampledFunction(grid, np.exp(log_psi)).normalized()
 

@@ -23,6 +23,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import UnitarityError
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "classify",
     "enumerate_multiplet",
     "region_of",
+    "region_index",
 ]
 
 _EDGE_TOL = 1e-12
@@ -53,6 +56,9 @@ class Region(enum.Enum):
     BOUNDED_ABOVE = "bounded_above_region"
     SQUARE = "square_region"
     FORBIDDEN = "forbidden"
+
+
+_REGIONS = tuple(Region)
 
 
 def _canonical_j(j: float) -> float:
@@ -209,22 +215,33 @@ def enumerate_multiplet(rep: RepLabel, count: int) -> Multiplet:
     return Multiplet(rep, m_values)
 
 
-def region_of(j: float, m: float) -> Region:
-    """Locate a real (j, m) point among the allowed regions of the plane.
+def region_index(j, m) -> np.ndarray:
+    """Index into ``tuple(Region)`` of the region of every (j, m) pair, with
+    j and m broadcast against each other as numpy arrays.
 
     Positivity of both operator orderings is required everywhere; admissible
     points split by m into the bounded-below triangle (m >= 1/2), the
     bounded-above triangle (m <= -1/2), and the central band, where the
     supplementary-series bound j(j+1) < (|m|-1)|m| must hold strictly (band
     points on the diamond edge are starting states of short discrete
-    multiplets, not members of a two-sided class)."""
+    multiplets, not members of a two-sided class). The first rule that
+    applies decides, in that order."""
+    j, m = np.asarray(j, dtype=float), np.asarray(m, dtype=float)
     lower_sq, raise_sq = positivity_check(j, m)
-    if lower_sq < 0.0 or raise_sq < 0.0:
-        return Region.FORBIDDEN
-    if m >= 0.5:
-        return Region.BOUNDED_BELOW
-    if m <= -0.5:
-        return Region.BOUNDED_ABOVE
-    if j * (j + 1.0) < (abs(m) - 1.0) * abs(m):
-        return Region.SQUARE
-    return Region.FORBIDDEN
+    code = _REGIONS.index
+    return np.select(
+        [
+            (lower_sq < 0.0) | (raise_sq < 0.0),
+            m >= 0.5,
+            m <= -0.5,
+            j * (j + 1.0) < (np.abs(m) - 1.0) * np.abs(m),
+        ],
+        [code(Region.FORBIDDEN), code(Region.BOUNDED_BELOW), code(Region.BOUNDED_ABOVE), code(Region.SQUARE)],
+        default=code(Region.FORBIDDEN),
+    )
+
+
+def region_of(j: float, m: float) -> Region:
+    """Locate a real (j, m) point among the allowed regions of the plane
+    (the rule of ``region_index``, at one point)."""
+    return _REGIONS[int(region_index(j, m))]

@@ -115,21 +115,30 @@ def test_default_grid_is_model_box(model_id):
     assert grid.n_points == 4001
 
 
+def _five_point(f, x, p, h=1e-3):
+    # 5-point central difference of f(x, p) in x
+    return (f(x - 2 * h, p) - 8 * f(x - h, p) + 8 * f(x + h, p) - f(x + 2 * h, p)) / (12 * h)
+
+
+def _interior(model):
+    box = model.default_box
+    return np.linspace(box[0] + 1.0, box[1] - 1.0, 101)
+
+
 @pytest.mark.parametrize("model_id", sorted(MODELS))
 def test_w_prime_matches_finite_difference(model_id):
-    # analytic derivative vs 5-point central difference, h = 1e-3
     model = get_model(model_id)
-    h = 1e-3
-    box = model.default_box
-    x = np.linspace(box[0] + 1.0, box[1] - 1.0, 101)
+    x = _interior(model)
     for p in _POINTS[model_id]:
-        fd = (
-            model.w(x - 2 * h, p)
-            - 8 * model.w(x - h, p)
-            + 8 * model.w(x + h, p)
-            - model.w(x + 2 * h, p)
-        ) / (12 * h)
-        assert np.max(np.abs(model.w_prime(x, p) - fd)) < 1e-6
+        assert np.max(np.abs(model.w_prime(x, p) - _five_point(model.w, x, p))) < 1e-6
+
+
+@pytest.mark.parametrize("model_id", sorted(MODELS))
+def test_w_integral_matches_w(model_id):
+    model = get_model(model_id)
+    x = _interior(model)
+    for p in _POINTS[model_id]:
+        assert np.max(np.abs(model.w(x, p) - _five_point(model.w_integral, x, p))) < 1e-6
 
 
 @pytest.mark.parametrize("model_id", sorted(MODELS))
@@ -156,14 +165,7 @@ def test_energies_increase_and_start_at_zero(model_id):
 def test_scarf_derivative_property(a, b, x):
     model = get_model("scarf")
     p = ParameterPoint(a, {"B": b})
-    h = 1e-3
-    fd = (
-        model.w(x - 2 * h, p)
-        - 8 * model.w(x - h, p)
-        + 8 * model.w(x + h, p)
-        - model.w(x + 2 * h, p)
-    ) / (12 * h)
-    assert abs(model.w_prime(x, p) - fd) < 1e-6
+    assert abs(model.w_prime(x, p) - _five_point(model.w, x, p)) < 1e-6
 
 
 # Certification of the catalog-supplied morse closed forms against the

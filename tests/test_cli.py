@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sips import compare_spectra
+import sips
+from sips import compare_spectra, region_of
 from sips.cli import MAX_COUNT, MAX_POINTS, main, parse_grid_spec, parse_params, parse_range_spec
 from sips.export import read_json
 
@@ -301,6 +306,38 @@ def test_reps_region_grid(tmp_path, capsys):
         "square_region",
         "forbidden",
     }
+
+
+def test_reps_region_grid_matches_point_loop(capsys):
+    # 1/8 steps hit m = ±1/2, j = -1/2 and the diamond edge j(j+1) = (|m|-1)|m|
+    # (j = -3/4 or -1/4 at m = ±1/4) exactly in binary
+    code, out, _ = run(capsys, "reps", "region-grid", "--j", "-4:1:0.125", "--m", "-4:4:0.125")
+    assert code == 0
+    lines = ["j,m,region"]
+    for j in np.arange(-4.0, 1.0 + 0.0625, 0.125):
+        for m in np.arange(-4.0, 4.0 + 0.0625, 0.125):
+            lines.append(f"{j:.6g},{m:.6g},{region_of(float(j), float(m)).value}")
+    assert out == "\n".join(lines) + "\n"
+    for cell in ("-0.5,0.5,", "-0.5,-0.5,", "-0.75,0.25,", "-0.25,-0.25,"):
+        assert any(line.startswith(cell) for line in lines)
+
+
+def _cold(*code):
+    # a fresh interpreter that imports sips from the same source tree
+    env = dict(os.environ, PYTHONPATH=str(Path(sips.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_loaded_only_by_verify():
+    listed = _cold(
+        "-c",
+        "import sys, sips.cli; rc = sips.cli.main(['list']); "
+        "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+    )
+    assert listed.stdout.splitlines()[-1] == "0 []"
+    verified = _cold("-m", "sips.cli", "verify", "--model", "scarf", "--params", "a=3,B=1")
+    assert verified.returncode == 0
+    assert verified.stdout.splitlines()[-1] == "PASS"
 
 
 def test_algebra_check_boundary_contamination_is_usage_error(capsys):

@@ -18,6 +18,7 @@ from sips import (
     positivity_check,
     region_of,
 )
+from sips.unireps import region_index
 
 
 def test_ladder_coefficients():
@@ -183,6 +184,32 @@ def test_region_examples():
     assert region_of(-1.5, 0.0) is Region.FORBIDDEN
     assert region_of(-0.5, 0.0) is Region.SQUARE
     assert region_of(-0.4, 0.2) is Region.SQUARE
+
+
+def _region_by_scalar_rule(j, m):
+    # the per-point rule, written out as a chain of plain-float comparisons
+    lower, upper = positivity_check(j, m)
+    if lower < 0.0 or upper < 0.0:
+        return Region.FORBIDDEN
+    if m >= 0.5:
+        return Region.BOUNDED_BELOW
+    if m <= -0.5:
+        return Region.BOUNDED_ABOVE
+    if j * (j + 1.0) < (abs(m) - 1.0) * abs(m):
+        return Region.SQUARE
+    return Region.FORBIDDEN
+
+
+def test_region_index_matches_scalar_rule():
+    # 1/8 steps put cells exactly on m = ±1/2, j = -1/2 and the diamond edge
+    j = np.arange(-4.0, 1.0 + 0.0625, 0.125)
+    m = np.arange(-4.0, 4.0 + 0.0625, 0.125)
+    codes = region_index(j[:, None], m[None, :])
+    assert codes.shape == (j.size, m.size)
+    regions = tuple(Region)
+    for row, jv in zip(codes.tolist(), j.tolist()):
+        assert [regions[c] for c in row] == [_region_by_scalar_rule(jv, mv) for mv in m.tolist()]
+    assert region_of(-0.75, 0.25) is _region_by_scalar_rule(-0.75, 0.25) is Region.FORBIDDEN
 
 
 @given(j=st.floats(-6.0, 5.0), m=st.floats(-6.0, 6.0))
