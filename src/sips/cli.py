@@ -15,7 +15,9 @@ for unbounded work.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -94,11 +96,28 @@ def _grid(args, model) -> Grid:
     return catalog.default_grid(model) if args.grid is None else parse_grid_spec(args.grid)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text, out: str | None) -> None:
+    """Write text to --out (atomically) or stdout. text is a str, given a
+    final newline if it lacks one, or an iterable of str chunks ending in one."""
+    if isinstance(text, str):
+        text = [text if text.endswith("\n") else text + "\n"]
+    chunks = export.TextChunks(text)
     if out:
-        export.atomic_write_text(out, text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        try:
+            export.atomic_write_text(out, chunks)
+        except OSError as exc:
+            raise SipsError(f"cannot write {out}: {exc.strerror or exc}") from None
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Nothing more can reach stdout; point it at the null device so the
+        # flush at exit stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise SipsError(f"cannot write standard output: {exc.strerror or exc}") from None
+        # a reader that stops early (`| head`) is no error: the exit code stands
 
 
 # ----------------------------------------------------------------- commands
@@ -222,9 +241,9 @@ def cmd_wavefunction(args) -> int:
             model.id, p.as_dict(), n, energy, psi,
             node_count=nodes, oracle_residual=residual,
         )
-        _emit(json.dumps(record, indent=2), args.out)
+        _emit(export.json_chunks(record), args.out)
     else:
-        _emit(export.wavefunction_csv_text(psi, metadata), args.out)
+        _emit(export.wavefunction_csv_chunks(psi, metadata), args.out)
     return 0
 
 
@@ -253,8 +272,10 @@ def cmd_algebra_check(args) -> int:
     reports = []
     for name in _TEST_FUNCTIONS:
         sector = alg.SectorFunction(m, _test_function(name, grid))
-        j3 = alg.commutator_j3_residual(model, sector, aux_p)
+        # closure first: it rejects a test function that vanishes on the grid,
+        # which the j3 residual would divide by
         closure = alg.closure_residual(model, sector, aux_p)
+        j3 = alg.commutator_j3_residual(model, sector, aux_p)
         residuals = {
             "j3_commutator_plus": j3["plus"],
             "j3_commutator_minus": j3["minus"],
@@ -341,9 +362,12 @@ def cmd_reps_region_grid(args) -> int:
     cells = np.array(
         [[f"{m:.6g},{r.value}" for m in m_values.tolist()] for r in unireps.Region], dtype=object
     )
-    rows = cells[codes, np.arange(m_values.size)].tolist()
-    lines = [f"{j:.6g}," + f"\n{j:.6g},".join(row) for j, row in zip(j_values.tolist(), rows)]
-    _emit("\n".join(["j,m,region", *lines]), args.out)
+    columns = np.arange(m_values.size)
+    rows = (
+        f"{j:.6g}," + f"\n{j:.6g},".join(cells[row_codes, columns].tolist()) + "\n"
+        for j, row_codes in zip(j_values.tolist(), codes)
+    )
+    _emit(itertools.chain(["j,m,region\n"], rows), args.out)
     return 0
 
 

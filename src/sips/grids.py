@@ -23,9 +23,11 @@ class Grid:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError(f"need at least 3 points, got {self.n_points}")
-        # a finite spacing implies finite bounds
-        if not (self.x_min < self.x_max and np.isfinite(self.h)):
-            raise ValueError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}], h={self.h}")
+        # a finite h² (the stencils divide by it) implies finite bounds
+        if not (self.x_min < self.x_max and np.isfinite(self.h * self.h)):
+            raise ValueError(
+                f"need finite x_min < x_max and h² finite, got [{self.x_min}, {self.x_max}], h={self.h}"
+            )
 
     @property
     def h(self) -> float:

@@ -12,9 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sips
-from sips import compare_spectra, region_of
+from sips import (
+    closed_form_energy,
+    compare_spectra,
+    discretize_hamiltonian,
+    excited_state_by_ladder,
+    node_count,
+    potential_minus,
+    region_of,
+    residual_norm,
+)
 from sips.cli import MAX_COUNT, MAX_POINTS, main, parse_grid_spec, parse_params, parse_range_spec
-from sips.export import read_json
+from sips.export import CHUNK, atomic_write_text, json_chunks, read_json, wavefunction_record
 
 
 def run(capsys, *argv):
@@ -163,7 +172,7 @@ def test_verify_grid_cannot_resolve_well(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "wavefunction"])
-@pytest.mark.parametrize("grid", ["0:inf:11", "-1e308:1e308:11", "-inf:0:11"])
+@pytest.mark.parametrize("grid", ["0:inf:11", "-1e308:1e308:11", "-inf:0:11", "5:1e308:64"])
 def test_nonfinite_grid_rejected(capsys, command, grid):
     argv = [command, "--model", "scarf", "--params", "a=3,B=1", "--grid", grid]
     if command == "wavefunction":
@@ -322,10 +331,121 @@ def test_reps_region_grid_matches_point_loop(capsys):
         assert any(line.startswith(cell) for line in lines)
 
 
+def _reference_wavefunction(model, params, n, grid_spec, fmt):
+    # the file as the per-row CSV loop and json.dumps(record, indent=2) wrote it
+    p = parse_params(model, params)
+    grid = parse_grid_spec(grid_spec)
+    energy = closed_form_energy(model, p, n)
+    psi = excited_state_by_ladder(model, p, n, grid)
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
+    residual = residual_norm(T, psi, energy)
+    nodes = node_count(psi)
+    if fmt == "json":
+        record = wavefunction_record(
+            model, p.as_dict(), n, energy, psi, node_count=nodes, oracle_residual=residual
+        )
+        return json.dumps(record, indent=2) + "\n"
+    metadata = {"model": model, "params": p.as_dict(), "n": n, "energy": energy,
+                "node_count": nodes, "oracle_residual": residual}
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    lines.append("x,psi")
+    for xi, vi in zip(grid.x, psi.values):
+        lines.append(f"{xi:.12g},{vi:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def _wavefunction_bytes(tmp_path, capsys, fmt, *argv):
+    # stdout and --out bytes of one wavefunction command; both must agree
+    argv = ["wavefunction", *argv, "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    path = tmp_path / f"psi.{fmt}"
+    code, stdout, err = run(capsys, *argv, "--out", str(path))
+    assert (code, stdout, err) == (0, "", "")
+    assert path.read_text() == out
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("points", [3, CHUNK - 1, CHUNK, CHUNK + 1, 64001])
+def test_wavefunction_bytes_match_row_loop(tmp_path, capsys, fmt, points):
+    n = 0 if points < 7 else 2  # the ladder's stencils need 7 points
+    spec = f"-20:20:{points}"
+    out = _wavefunction_bytes(
+        tmp_path, capsys, fmt, "--model", "scarf", "--params", "a=3,B=1", "--n", str(n), "--grid", spec
+    )
+    assert out == _reference_wavefunction("scarf", "a=3,B=1", n, spec, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wavefunction_bytes_with_subnormals(tmp_path, capsys, fmt):
+    # the oscillator ground state on [-40, 40] falls through the subnormal range to 0
+    spec = "-40:40:4001"
+    values = excited_state_by_ladder("oscillator", parse_params("oscillator", None), 0,
+                                     parse_grid_spec(spec)).values
+    assert np.any((values != 0) & (np.abs(values) < np.finfo(float).tiny))
+    out = _wavefunction_bytes(tmp_path, capsys, fmt, "--model", "oscillator", "--n", "0", "--grid", spec)
+    assert out == _reference_wavefunction("oscillator", None, 0, spec, fmt)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"values": [1.5, -0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf")], "n": 1},
+        {"values": [1.0] * (CHUNK + 1), "grid": {"values": [2.0]}},
+        {"values": [1, 2.5, True, None]},
+        {"values": []},
+        {"values": [np.float64(0.1)]},
+        {"model": "scarf", "values": "text"},
+        {"params": {"a": 3.0}},
+    ],
+)
+def test_json_chunks_match_indent2_encoder(payload):
+    assert "".join(json_chunks(payload)) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_atomic_write_keeps_target_when_chunks_fail(tmp_path):
+    target = tmp_path / "psi.csv"
+    target.write_text("before\n")
+
+    def chunks():
+        yield "x,psi\n"
+        yield "0,1\n" * CHUNK
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        atomic_write_text(str(target), chunks())
+    assert target.read_text() == "before\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wavefunction", "--model", "scarf", "--params", "a=3,B=1", "--n", "1"],
+        ["list"],
+        ["reps", "region-grid", "--j", "-4:1:0.25", "--m", "-4:4:0.25"],
+    ],
+)
+@pytest.mark.parametrize(
+    "target,reason",
+    [("missing/out.csv", "No such file or directory"), ("", "Is a directory"), (".", "Is a directory")],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target, reason):
+    path = os.path.join(tmp_path, target)  # "" gives the directory with a trailing slash
+    code, out, err = run(capsys, *argv, "--out", path)
+    usage_error(code, out, err)
+    assert err == f"error: cannot write {path}: {reason}\n"
+    assert not list(tmp_path.parent.rglob("*.tmp"))
+    assert not list(tmp_path.iterdir())
+
+
+# a fresh interpreter imports sips from the same source tree
+_COLD_ENV = dict(os.environ, PYTHONPATH=str(Path(sips.__file__).resolve().parents[1]))
+
+
 def _cold(*code):
-    # a fresh interpreter that imports sips from the same source tree
-    env = dict(os.environ, PYTHONPATH=str(Path(sips.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *code], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *code], env=_COLD_ENV, capture_output=True, text=True, timeout=120)
 
 
 def test_scipy_loaded_only_by_verify():
@@ -340,11 +460,40 @@ def test_scipy_loaded_only_by_verify():
     assert verified.stdout.splitlines()[-1] == "PASS"
 
 
+def test_stdout_closed_early_is_not_an_error():
+    # `sips wavefunction ... | head -1`: the reader goes away part-way through
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sips.cli", "wavefunction", "--model", "scarf", "--params", "a=3,B=1",
+         "--n", "1", "--grid", "-20:20:64001"],
+        env=_COLD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# model: scarf\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_write_error_is_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "sips.cli", "list"], env=_COLD_ENV, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write standard output") and proc.stderr.count("\n") == 1
+
+
 def test_algebra_check_boundary_contamination_is_usage_error(capsys):
     # the gaussian test functions reach the edge of the morse box [-6, 20]
     code, out, err = run(
         capsys, "algebra", "check", "--model", "morse", "--m", "3", "--params", "B=1"
     )
+    usage_error(code, out, err)
+    assert "grid edge" in err
+
+
+def test_algebra_check_vanishing_test_function_is_usage_error(capsys):
+    # every gaussian underflows to 0 on [100, 200]: no residual can be scaled by its norm
+    code, out, err = run(capsys, "algebra", "check", "--model", "scarf", "--m", "2", "--grid", "100:200:101")
     usage_error(code, out, err)
     assert "grid edge" in err
 
@@ -510,10 +659,20 @@ def _argv(draw):
     return argv
 
 
-@given(argv=_argv())
-@settings(max_examples=100, deadline=None)
-def test_cli_total_over_argv_grammar(argv):
+# --out under the test's directory: a new file, a missing directory, the directory
+_OUTS = st.sampled_from([None, "out.txt", "missing/out.txt", "."])
+
+
+# The slowest accepted draw measured 0.40 s (verify --levels 10000 on the
+# oscillator, 2-core host); the bound leaves ten times that for slower hosts.
+@given(argv=_argv(), out=_OUTS)
+@settings(max_examples=100, deadline=4000)
+def test_cli_total_over_argv_grammar(tmp_path_factory, argv, out):
     # every input ends in exit 0, 1 or 2: no other exception escapes main
+    base = tmp_path_factory.getbasetemp() / "argv-grammar"
+    base.mkdir(exist_ok=True)
+    if out is not None:
+        argv = [*argv, "--out", str(base / out)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
@@ -521,6 +680,9 @@ def test_cli_total_over_argv_grammar(argv):
             code = exc.code
             assert code == 2
     assert code in (0, 1, 2)
+    if out in ("missing/out.txt", "."):
+        assert code == 2
+    assert not list(base.rglob("*.tmp"))
 
 
 def test_export_json_roundtrip(tmp_path):
