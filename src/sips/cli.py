@@ -9,24 +9,32 @@ without --grid a command runs on catalog.default_grid(model), the grid the
 library uses too, and verify's --levels defaults to min(bound states, 5).
 --levels, --n and --count above MAX_COUNT, and --grid point counts and
 region-grid cell counts above MAX_POINTS, are rejected, so no input can ask
-for unbounded work.
+for unbounded work. A --tol that is not a finite number > 0 is rejected too.
+
+Each command imports the library modules it uses when it runs, so the module
+itself loads only the standard library: `reps classify` and `reps enumerate`
+never import numpy, and only `verify` imports scipy (inside the referee).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
+import math
 import os
 import sys
+import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import algebra as alg
-from . import catalog, export, oracle, susy, unireps
-from .catalog import ParameterPoint, get_model
 from .errors import SipsError
-from .grids import Grid, SampledFunction, node_count
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .catalog import ParameterPoint
+    from .grids import Grid, SampledFunction
 
 ROUTE_AGREEMENT_TOL = 1e-9
 # Largest --levels, --n or --count accepted; each asks for work in proportion.
@@ -39,6 +47,8 @@ _USAGE_ERRORS = (SipsError, KeyError, ValueError)
 
 def parse_grid_spec(spec: str) -> Grid:
     """Grid spec 'min:max:n', e.g. '-20:20:4001'."""
+    from .grids import Grid
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be min:max:n, got {spec!r}")
@@ -50,11 +60,13 @@ def parse_grid_spec(spec: str) -> Grid:
 
 def parse_range_spec(spec: str) -> np.ndarray:
     """Range spec 'min:max:step' for the region raster axes."""
+    import numpy as np
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range spec must be min:max:step, got {spec!r}")
     lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
-    if not (0.0 < step < np.inf and lo <= hi):
+    if not (0.0 < step < math.inf and lo <= hi):
         raise ValueError(f"bad range {spec!r}: need min <= max and a finite step > 0")
     # np.arange's length, counted before it allocates anything
     if not (hi + 0.5 * step - lo) / step <= MAX_POINTS:
@@ -64,6 +76,8 @@ def parse_range_spec(spec: str) -> np.ndarray:
 
 def parse_params(model, text: str | None, default_a: float | None = None) -> ParameterPoint:
     """Comma-separated key=value parameters, checked against the model."""
+    from .catalog import ParameterPoint, get_model
+
     model = get_model(model)
     values: dict[str, float] = {}
     if text:
@@ -93,12 +107,16 @@ def parse_params(model, text: str | None, default_a: float | None = None) -> Par
 
 
 def _grid(args, model) -> Grid:
+    from . import catalog
+
     return catalog.default_grid(model) if args.grid is None else parse_grid_spec(args.grid)
 
 
 def _emit(text, out: str | None) -> None:
     """Write text to --out (atomically) or stdout. text is a str, given a
     final newline if it lacks one, or an iterable of str chunks ending in one."""
+    from . import export
+
     if isinstance(text, str):
         text = [text if text.endswith("\n") else text + "\n"]
     chunks = export.TextChunks(text)
@@ -108,6 +126,8 @@ def _emit(text, out: str | None) -> None:
         except OSError as exc:
             raise SipsError(f"cannot write {out}: {exc.strerror or exc}") from None
         return
+    if sys.stdout is None:  # Python starts with sys.stdout None when fd 1 is closed
+        raise SipsError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
     try:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
@@ -124,6 +144,8 @@ def _emit(text, out: str | None) -> None:
 
 
 def cmd_list(args) -> int:
+    from . import catalog
+
     models = catalog.list_models()
     if args.format == "json":
         _emit(json.dumps(models, indent=2), args.out)
@@ -139,6 +161,12 @@ def cmd_list(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from . import algebra as alg
+    from . import export, susy
+    from .catalog import get_model
+
     model = get_model(args.model)
     route, m_value, levels = args.route, args.m, args.levels
     # The algebra route fixes a through the sector index, so a=... is only
@@ -175,6 +203,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import catalog, export, oracle, susy
+    from .catalog import get_model
+
     model = get_model(args.model)
     p = parse_params(model, args.params)
     grid = _grid(args, model)
@@ -217,6 +248,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    from . import catalog, export, oracle, susy
+    from .catalog import get_model
+    from .grids import node_count
+
     model = get_model(args.model)
     p = parse_params(model, args.params)
     grid = _grid(args, model)
@@ -251,6 +286,10 @@ _TEST_FUNCTIONS = ("gaussian", "odd_gaussian", "offset_gaussian")
 
 
 def _test_function(name: str, grid: Grid) -> SampledFunction:
+    import numpy as np
+
+    from .grids import SampledFunction
+
     x = grid.x
     if name == "gaussian":
         return SampledFunction(grid, np.exp(-(x**2)))
@@ -262,6 +301,9 @@ def _test_function(name: str, grid: Grid) -> SampledFunction:
 
 
 def cmd_algebra_check(args) -> int:
+    from . import algebra as alg
+    from .catalog import get_model
+
     model = get_model(args.model)
     m, tol = args.m, args.tol
     grid = _grid(args, model)
@@ -311,6 +353,8 @@ def cmd_algebra_check(args) -> int:
 
 
 def cmd_reps_classify(args) -> int:
+    from . import unireps
+
     label = unireps.classify(args.j, args.m0)
     payload = {
         "j": args.j,
@@ -327,6 +371,8 @@ def cmd_reps_classify(args) -> int:
 
 
 def cmd_reps_enumerate(args) -> int:
+    from . import unireps
+
     label = unireps.classify(args.j, args.m0)
     if label.rep_class is unireps.RepClass.INVALID:
         raise ValueError(
@@ -352,6 +398,10 @@ def cmd_reps_enumerate(args) -> int:
 
 
 def cmd_reps_region_grid(args) -> int:
+    import numpy as np
+
+    from . import unireps
+
     j_values = parse_range_spec(args.j)
     m_values = parse_range_spec(args.m)
     if j_values.size * m_values.size > MAX_POINTS:
@@ -452,7 +502,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     # them into --flag=value form so negative-leading specs parse.
     out: list[str] = []
     i = 0
-    value_flags = {"--grid", "--j", "--m", "--m0", "--params"}
+    value_flags = {"--grid", "--j", "--m", "--m0", "--params", "--tol"}
     while i < len(argv):
         token = argv[i]
         if (
@@ -478,8 +528,13 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value > MAX_COUNT:
                 raise ValueError(f"--{flag} {value} exceeds the limit of {MAX_COUNT}")
-        # explicit finiteness checks reject what overflows; numpy's warnings are noise
-        with np.errstate(all="ignore"):
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0.0 < tol < math.inf:
+            raise ValueError(f"--tol {tol:g} must be a finite number > 0")
+        # explicit finiteness checks reject what overflows; numpy's
+        # floating-point warnings (RuntimeWarning) are noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
     except _USAGE_ERRORS as exc:
         message = exc.args[0] if exc.args else exc

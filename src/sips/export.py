@@ -17,10 +17,10 @@ import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .grids import SampledFunction
+if TYPE_CHECKING:
+    from .grids import SampledFunction
 
 __all__ = [
     "CHUNK",
@@ -105,9 +105,12 @@ def wavefunction_csv_chunks(psi: SampledFunction, metadata: dict | None = None) 
     yield "\n".join([*header, "x,psi"]) + "\n"
     x, values = psi.grid.x, psi.values
     for start in range(0, len(values), CHUNK):
-        rows = np.column_stack((x[start:start + CHUNK], values[start:start + CHUNK]))
+        # x0, x0, x1, x1, ... with psi written over every second copy: the
+        # rows interleaved by array methods, so this module needs no numpy import
+        rows = x[start:start + CHUNK].repeat(2)
+        rows[1::2] = values[start:start + CHUNK]
         # %-formatting a Python float gives the digits of f"{xi:.12g}"
-        yield ("%.12g,%.12g\n" * len(rows)) % tuple(rows.ravel().tolist())
+        yield ("%.12g,%.12g\n" * (len(rows) // 2)) % tuple(rows.tolist())
 
 
 def wavefunction_csv_text(psi: SampledFunction, metadata: dict | None = None) -> str:
@@ -148,4 +151,4 @@ def read_json(path: str) -> dict:
 
 
 def format_energies(energies) -> str:
-    return "  ".join(f"{e:.12g}" for e in np.asarray(energies, dtype=float))
+    return "  ".join(f"{float(e):.12g}" for e in energies)

@@ -22,10 +22,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import UnitarityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RepClass",
@@ -225,7 +227,9 @@ def region_index(j, m) -> np.ndarray:
     supplementary-series bound j(j+1) < (|m|-1)|m| must hold strictly (band
     points on the diamond edge are starting states of short discrete
     multiplets, not members of a two-sided class). The first rule that
-    applies decides, in that order."""
+    applies decides, in that order. The only function here that needs numpy."""
+    import numpy as np
+
     j, m = np.asarray(j, dtype=float), np.asarray(m, dtype=float)
     lower_sq, raise_sq = positivity_check(j, m)
     code = _REGIONS.index

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -460,6 +462,104 @@ def test_scipy_loaded_only_by_verify():
     assert verified.stdout.splitlines()[-1] == "PASS"
 
 
+_LOADED_NUMERICS = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+
+
+def test_import_sips_loads_no_numpy():
+    assert _cold("-c", f"import sys, sips; {_LOADED_NUMERICS}").stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reps", "classify", "--j", "-1.5", "--m0", "1.5"],
+        ["reps", "classify", "--j", "1.0", "--m0", "0.25", "--format", "json"],
+        ["reps", "enumerate", "--j", "-1.5", "--m0", "1.5", "--count", "5"],
+        ["reps", "enumerate", "--j", "-0.625", "--m0", "0.125", "--format", "json"],
+    ],
+)
+def test_scalar_reps_commands_load_no_numpy(argv):
+    # -X importtime names every module the process imports, one per stderr line
+    proc = _cold("-X", "importtime", "-m", "sips.cli", *argv)
+    assert proc.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "sips.unireps" in imported
+    assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")]
+
+
+def test_numeric_commands_after_numpy_free_command(capsys):
+    # one process: the first numpy import happens inside `reps region-grid`
+    raster = ["reps", "region-grid", "--j", "-4:1:0.25", "--m", "-4:4:0.25"]
+    verify = ["verify", "--model", "scarf", "--params", "a=3,B=1"]
+    script = (
+        "import contextlib, io, json, sys, sips.cli\n"
+        "results = []\n"
+        f"for argv in {[['reps', 'classify', '--j', '-1.5', '--m0', '1.5'], raster, verify]!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        rc = sips.cli.main(argv)\n"
+        "    results.append([rc, out.getvalue(), 'numpy' in sys.modules])\n"
+        "print(json.dumps(results))\n"
+    )
+    proc = _cold("-c", script)
+    assert proc.stderr == ""
+    (classify_rc, classified, numpy_after_classify), raster_result, verify_result = json.loads(proc.stdout)
+    assert (classify_rc, classified, numpy_after_classify) == (0, "D_plus\n", False)
+    assert raster_result[:2] == list(run(capsys, *raster)[:2])
+    assert verify_result[:2] == list(run(capsys, *verify)[:2])
+    assert verify_result[1].splitlines()[-1] == "PASS"
+
+
+# `import sips` before the exports became lazy: every name it bound
+_PUBLIC_NAMES = {
+    "algebra": ["SectorFunction", "So21Check", "algebra_spectrum", "apply_j3", "apply_j_minus", "apply_j_plus",
+                "closure_residual", "commutator_j3_residual", "energy_from_algebra", "is_so21"],
+    "catalog": ["MODELS", "ParameterPoint", "SuperpotentialModel", "closed_form_energy", "default_grid",
+                "evaluate_superpotential", "get_model", "list_models", "max_bound_states", "potential_minus",
+                "potential_plus"],
+    "errors": ["BoundaryContaminationError", "GridTooCoarseError", "InvalidParameterError", "LevelOutOfRangeError",
+               "NotSO21Error", "SipsError", "UnitarityError"],
+    "grids": ["Grid", "SampledFunction", "derivative", "node_count"],
+    "oracle": ["SpectrumComparison", "TridiagonalOperator", "compare_spectra", "discretize_hamiltonian",
+               "eigenvector", "lowest_eigenvalues", "residual_norm", "spectrum", "sturm_count"],
+    "susy": ["ShapeInvarianceReport", "Spectrum", "apply_a_plus", "excited_state_by_ladder", "ground_state",
+             "shift_params", "spectrum_by_shape_invariance", "verify_shape_invariance"],
+    "unireps": ["Multiplet", "Region", "RepClass", "RepLabel", "classify", "enumerate_multiplet",
+                "ladder_coefficient", "positivity_check", "region_of"],
+}
+
+
+def test_lazy_exports_complete():
+    names = {name: module for module, owned in _PUBLIC_NAMES.items() for name in owned}
+    assert len(names) == 58
+    script = (
+        "import importlib, json, sys, sips\n"
+        f"names = {names!r}\n"
+        "star = {}\n"
+        "exec('from sips import *', star)\n"
+        "print(json.dumps({\n"
+        "    'dir': dir(sips),\n"
+        "    'star': sorted(set(star) - {'__builtins__'}),\n"
+        "    'same': all(getattr(sips, n) is getattr(importlib.import_module('sips.' + m), n)\n"
+        "                for n, m in names.items()),\n"
+        "    'modules': [getattr(sips, m).__name__ for m in (*sorted(set(names.values())), 'export')],\n"
+        "    'version': sips.__version__,\n"
+        "    'unknown': hasattr(sips, 'no_such_name'),\n"
+        "}))\n"
+    )
+    proc = _cold("-c", script)
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    submodules = sorted(_PUBLIC_NAMES)
+    assert report["star"] == sorted([*names, *submodules])
+    assert set(report["dir"]) >= {*names, *submodules, "export", "__version__"}
+    assert report["same"]
+    assert report["modules"] == [f"sips.{m}" for m in (*submodules, "export")]
+    assert (report["version"], report["unknown"]) == ("0.1.0", False)
+    # the package in this process agrees with the fresh one
+    assert sorted(sips.__all__) == report["star"]
+
+
 def test_stdout_closed_early_is_not_an_error():
     # `sips wavefunction ... | head -1`: the reader goes away part-way through
     proc = subprocess.Popen(
@@ -480,6 +580,30 @@ def test_stdout_write_error_is_usage_error():
                               stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write standard output") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+@pytest.mark.parametrize("argv", [["list"], ["reps", "classify", "--j", "-1.5", "--m0", "1.5"]])
+def test_closed_stdout_is_usage_error(argv):
+    # `sips ... >&-`: Python starts with sys.stdout None when fd 1 is closed
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m sips.cli "$@" >&-', sys.executable, *argv],
+                          env=_COLD_ENV, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
+        ["algebra", "check", "--model", "scarf", "--m", "2", "--params", "B=1"],
+    ],
+)
+def test_tol_must_be_finite_and_positive(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    usage_error(code, out, err)
+    assert err == f"error: --tol {float(tol):g} must be a finite number > 0\n"
 
 
 def test_algebra_check_boundary_contamination_is_usage_error(capsys):
