@@ -462,11 +462,9 @@ def test_scipy_loaded_only_by_verify():
     assert verified.stdout.splitlines()[-1] == "PASS"
 
 
-_LOADED_NUMERICS = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
-
-
 def test_import_sips_loads_no_numpy():
-    assert _cold("-c", f"import sys, sips; {_LOADED_NUMERICS}").stdout == "[]\n"
+    loaded = _cold("-c", "import sys, sips; print([m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')])")
+    assert loaded.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
