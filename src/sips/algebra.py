@@ -209,6 +209,8 @@ def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Sp
     check = is_so21(model)
     if not check:
         raise NotSO21Error(f"{model.id}: {check.reason}")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     a0 = m - 0.5
     p0 = ParameterPoint(a0, aux or {})
     n_levels = min(n_max, max_bound_states(model, p0))

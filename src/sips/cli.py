@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import json
 import math
@@ -518,16 +519,25 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process (about 2 ms); parse_args keeps no state between
+    # calls. build_parser stays uncached and returns a new parser each call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    args = _parser().parse_args(_normalize_argv(list(argv)))
     try:
         for flag in ("levels", "n", "count"):
             value = getattr(args, flag, None)
             if value is not None and value > MAX_COUNT:
                 raise ValueError(f"--{flag} {value} exceeds the limit of {MAX_COUNT}")
+        levels = getattr(args, "levels", None)
+        if levels is not None and levels < 1:
+            raise ValueError("--levels must be >= 1")
         tol = getattr(args, "tol", None)
         if tol is not None and not 0.0 < tol < math.inf:
             raise ValueError(f"--tol {tol:g} must be a finite number > 0")

@@ -4,8 +4,11 @@ This is the numerical referee for every analytic claim in the package, so it
 deliberately shares nothing with the analytic machinery: second-order central
 differences (the ladder code uses fourth-order stencils), Dirichlet walls at
 the box edges, and LAPACK's tridiagonal bisection (stebz) and inverse
-iteration (stein) for eigenpairs. A Sturm-sequence count, computed here
-independently of LAPACK, certifies how many levels lie below an energy.
+iteration (stein) for eigenpairs. ``spectrum`` certifies that a grid holds
+the requested levels from the eigenvalues stebz returns. ``sturm_count``, a
+standalone utility independent of LAPACK, counts the levels below any
+energy without solving for them; ``spectrum`` calls it only for a grid that
+the eigenvalues do not certify.
 """
 
 from __future__ import annotations
@@ -127,27 +130,41 @@ def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
 def spectrum(model, p: ParameterPoint, grid: Grid, k: int) -> NDArray[np.float64]:
     """The k lowest levels of -d²/dx² + V-(x; p) discretized on ``grid``.
 
-    For families with a continuum edge, the Sturm count certifies that the
-    discretized H holds at least k levels below it, and h·√(edge - min V) <= 1
-    that the spacing resolves the shortest local wavelength; a grid too coarse
-    for either raises GridTooCoarseError instead of returning box states.
+    For families with a continuum edge, the grid must hold k levels below it
+    (the k-th lowest eigenvalue lies below the edge), and h·√(edge - min V)
+    <= 1 must hold (the spacing resolves the shortest local wavelength). A
+    grid too coarse for either, or with fewer interior points than k, raises
+    GridTooCoarseError instead of returning box states.
     """
     model = get_model(model)
     T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
     edge = model.continuum_edge(p)
-    if edge is not None:
+    where = f"{grid.n_points}-point grid on [{grid.x_min:g}, {grid.x_max:g}]"
+    if edge is None:
+        if k > T.size:
+            raise GridTooCoarseError(f"{where} has {T.size} interior points, too few for {k} levels")
+        return lowest_eigenvalues(T, k)
+    depth = edge - (np.min(T.diag) - 2.0 / grid.h**2)
+    unresolved = grid.h * np.sqrt(max(depth, 0.0)) > 1.0
+    # A grid that cannot pass is not solved: that would cost O(k·N).
+    levels = None if k > T.size or unresolved else lowest_eigenvalues(T, k)
+    # stebz locates each eigenvalue to within eps·‖T‖₁ (LAPACK's default
+    # ABSTOL), which a steep wall can make larger than the levels themselves
+    # (morse on [-20, 20]: ‖T‖₁ ≈ 2e17). A k-th eigenvalue below the edge by
+    # twice that certifies the grid; otherwise the Sturm count, O(N), decides
+    # and gives the error its level count.
+    norm = np.max(np.abs(T.diag)) + 2.0 / grid.h**2
+    if levels is None or levels[-1] >= edge - 2.0 * np.finfo(float).eps * norm:
         below = sturm_count(T, edge)
         if below < k:
             raise GridTooCoarseError(
-                f"{grid.n_points}-point grid on [{grid.x_min:g}, {grid.x_max:g}] "
-                f"holds {below} of {k} levels below the continuum edge {edge:g}"
+                f"{where} holds {below} of {k} levels below the continuum edge {edge:g}"
             )
-        depth = edge - (np.min(T.diag) - 2.0 / grid.h**2)
-        if grid.h * np.sqrt(max(depth, 0.0)) > 1.0:
-            raise GridTooCoarseError(
-                f"grid spacing h={grid.h:g} cannot resolve a well {depth:g} deep (need h·√depth <= 1)"
-            )
-    return lowest_eigenvalues(T, k)
+    if unresolved:
+        raise GridTooCoarseError(
+            f"grid spacing h={grid.h:g} cannot resolve a well {depth:g} deep (need h·√depth <= 1)"
+        )
+    return levels
 
 
 def residual_norm(T: TridiagonalOperator, psi: SampledFunction, E: float) -> float:

@@ -124,6 +124,14 @@ def test_algebra_spectrum_rejects_oscillator():
         algebra_spectrum("oscillator", 2.0, 3)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_both_routes_reject_empty_spectrum(n_max):
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        algebra_spectrum("scarf", 3.5, n_max)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        spectrum_by_shape_invariance("scarf", ParameterPoint(3.0, {"B": 1.0}), n_max)
+
+
 @pytest.mark.parametrize(
     "model_id,expected", [("scarf", True), ("poschl_teller", True), ("morse", True), ("oscillator", False)]
 )

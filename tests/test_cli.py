@@ -154,6 +154,14 @@ def test_verify_grid_too_coarse(capsys):
     assert "continuum edge" in err
 
 
+def test_verify_oscillator_grid_too_coarse(capsys):
+    code, out, err = run(
+        capsys, "verify", "--model", "oscillator", "--grid", "-5:5:9", "--levels", "20"
+    )
+    usage_error(code, out, err)
+    assert err == "error: 9-point grid on [-5, 5] has 7 interior points, too few for 20 levels\n"
+
+
 @pytest.mark.parametrize("model,params", [("scarf", "a=1,B=1"), ("poschl_teller", "a=0.7")])
 def test_verify_single_bound_state(capsys, model, params):
     code, out, _ = run(
@@ -670,6 +678,22 @@ def test_counts_above_limit_rejected(capsys, argv):
     assert "exceeds the limit" in err
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "scarf", "--params", "a=3,B=1"],
+        ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "algebra"],
+        ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both"],
+        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
+    ],
+)
+def test_levels_below_one_rejected(capsys, argv, levels):
+    code, out, err = run(capsys, *argv, "--levels", levels)
+    usage_error(code, out, err)
+    assert err == "error: --levels must be >= 1\n"
+
+
 @pytest.fixture
 def no_oversized_arrays(monkeypatch):
     # a rejected size must never be allocated, not even briefly
@@ -820,6 +844,49 @@ def test_export_json_roundtrip(tmp_path):
     assert loaded["energy"] == 5.0
     assert loaded["grid"]["n_points"] == 801
     assert np.allclose(loaded["values"], psi.values)
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    # main reuses one parser; each call must still answer as a fresh parser does
+    import sips.cli
+
+    sequence = [
+        ["verify", "--model", "scarf", "--params", "a=3,B=1", "--levels", "2", "--format", "json"],
+        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
+        ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both"],
+        ["reps", "classify", "--j", "-1.5", "--m0", "1.5"],
+        ["spectrum", "--model", "scarf", "--no-such-flag"],
+        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
+    ]
+
+    def answer(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        sips.cli._parser.cache_clear()
+        fresh.append(answer(argv))
+    assert fresh[4][0] == 2 and "unrecognized arguments" in fresh[4][2]
+
+    builds = []
+    build_parser = sips.cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(sips.cli, "build_parser", counting_build_parser)
+    sips.cli._parser.cache_clear()
+    try:
+        assert [answer(argv) for argv in sequence] == fresh
+        assert len(builds) == 1
+    finally:
+        sips.cli._parser.cache_clear()
 
 
 def test_spectrum_deterministic_output(capsys):

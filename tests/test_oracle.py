@@ -17,7 +17,8 @@ from sips import (
     spectrum_by_shape_invariance,
     sturm_count,
 )
-from sips.catalog import default_grid
+from sips.catalog import default_grid, get_model
+from sips.cli import parse_params
 
 
 def test_discretization_stencil():
@@ -134,6 +135,77 @@ def test_spectrum_rejects_unresolved_well():
     # the Sturm count finds enough levels below the edge
     with pytest.raises(GridTooCoarseError, match="cannot resolve"):
         spectrum("poschl_teller", ParameterPoint(1e9), default_grid("poschl_teller"), 3)
+
+
+def _sturm_certified_spectrum(model, p, grid, k):
+    # Reference certificate: count the levels below the edge with the Sturm
+    # sequence first, then check the spacing, then solve.
+    model = get_model(model)
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
+    edge = model.continuum_edge(p)
+    below = sturm_count(T, edge)
+    if below < k:
+        raise GridTooCoarseError(
+            f"{grid.n_points}-point grid on [{grid.x_min:g}, {grid.x_max:g}] "
+            f"holds {below} of {k} levels below the continuum edge {edge:g}"
+        )
+    depth = edge - (np.min(T.diag) - 2.0 / grid.h**2)
+    if grid.h * np.sqrt(max(depth, 0.0)) > 1.0:
+        raise GridTooCoarseError(
+            f"grid spacing h={grid.h:g} cannot resolve a well {depth:g} deep (need h·√depth <= 1)"
+        )
+    return lowest_eigenvalues(T, k)
+
+
+_EDGE_POINTS = {
+    "scarf": ["a=3,B=1", "a=8,B=2", "a=2.7,B=-1.5"],
+    "poschl_teller": ["a=3", "a=6", "a=4.2"],
+    "morse": ["a=3,B=1", "a=10,B=1", "a=3,B=0.01", "a=2.8,B=2.5"],
+}
+# Boxes so narrow or coarse that they hold 0..k levels, a box that cuts the
+# morse well, the model boxes, and the benchmark's referee grids.
+_CERTIFICATE_GRIDS = [
+    (-20.0, 20.0, 5), (-1.0, 1.0, 11), (-3.0, 3.0, 4), (-20.0, 20.0, 7), (-2.0, 2.0, 41),
+    (-20.0, 20.0, 101), (-10.0, 10.0, 1001), (-6.0, 14.0, 1001), (-6.0, 20.0, 4001),
+    (-20.0, 20.0, 4001), (-6.0, 20.0, 16001), (-20.0, 20.0, 16001),
+]
+
+
+@pytest.mark.parametrize("model", sorted(_EDGE_POINTS))
+def test_certificate_matches_sturm_count(model):
+    for text in _EDGE_POINTS[model]:
+        p = parse_params(model, text)
+        for bounds in _CERTIFICATE_GRIDS:
+            if bounds[2] == 16001 and text != _EDGE_POINTS[model][0]:
+                continue  # one point per family at the finest grid keeps this fast
+            grid = Grid(*bounds)
+            for k in (1, 2, 3, 5, 8, grid.n_points - 1):
+                try:
+                    expected = _sturm_certified_spectrum(model, p, grid, k)
+                except GridTooCoarseError as exc:
+                    with pytest.raises(GridTooCoarseError) as got:
+                        spectrum(model, p, grid, k)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert np.array_equal(spectrum(model, p, grid, k), expected)
+
+
+def test_certified_grid_needs_no_sturm_count(monkeypatch):
+    import sips.oracle
+    from conftest import model_grid
+
+    def no_count(T, E):
+        raise AssertionError("sturm_count called on a certified grid")
+
+    monkeypatch.setattr(sips.oracle, "sturm_count", no_count)
+    for model, text in (("scarf", "a=3,B=1"), ("poschl_teller", "a=6"), ("morse", "a=10,B=1")):
+        for n_points in (1001, 4001, 16001):
+            assert spectrum(model, parse_params(model, text), model_grid(model, n_points), 3).size == 3
+
+
+def test_oscillator_grid_with_too_few_points():
+    with pytest.raises(GridTooCoarseError, match="9-point grid on \\[-5, 5\\] has 7 interior points"):
+        spectrum("oscillator", ParameterPoint(1.0), Grid(-5.0, 5.0, 9), 20)
 
 
 def test_eigenvector_node_counts(ref_grid, scarf_p):
