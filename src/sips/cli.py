@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import itertools
 import json
 import math
@@ -519,17 +518,11 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     return out
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built once per process (about 2 ms); parse_args keeps no state between
-    # calls. build_parser stays uncached and returns a new parser each call.
-    return build_parser()
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser().parse_args(_normalize_argv(list(argv)))
+    parser = build_parser()
+    args = parser.parse_args(_normalize_argv(list(argv)))
     try:
         for flag in ("levels", "n", "count"):
             value = getattr(args, flag, None)

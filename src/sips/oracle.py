@@ -148,13 +148,17 @@ def spectrum(model, p: ParameterPoint, grid: Grid, k: int) -> NDArray[np.float64
     unresolved = grid.h * np.sqrt(max(depth, 0.0)) > 1.0
     # A grid that cannot pass is not solved: that would cost O(k·N).
     levels = None if k > T.size or unresolved else lowest_eigenvalues(T, k)
-    # stebz locates each eigenvalue to within eps·‖T‖₁ (LAPACK's default
-    # ABSTOL), which a steep wall can make larger than the levels themselves
-    # (morse on [-20, 20]: ‖T‖₁ ≈ 2e17). A k-th eigenvalue below the edge by
-    # twice that certifies the grid; otherwise the Sturm count, O(N), decides
-    # and gives the error its level count.
+    # dstebz (LAPACK 3.x documentation of ABSTOL and dlaebz) returns the
+    # midpoint of a bisection interval no wider than max(ABSTOL, 2·eps·|λ|),
+    # with ABSTOL = eps·‖T‖₁ by default, so at most eps·‖T‖₁ from the
+    # eigenvalue its Sturm counts see; those counts are exact for T with
+    # off-diagonals perturbed by a few eps (Kahan), another ~2.5·eps·‖T‖₁.
+    # A steep wall makes this larger than the levels themselves (morse on
+    # [-20, 20]: ‖T‖₁ ≈ 2e17). A k-th eigenvalue below the edge by 8·eps·‖T‖₁,
+    # over twice the sum, certifies the grid; otherwise the Sturm count, O(N),
+    # decides and gives the error its level count.
     norm = np.max(np.abs(T.diag)) + 2.0 / grid.h**2
-    if levels is None or levels[-1] >= edge - 2.0 * np.finfo(float).eps * norm:
+    if levels is None or levels[-1] >= edge - 8.0 * np.finfo(float).eps * norm:
         below = sturm_count(T, edge)
         if below < k:
             raise GridTooCoarseError(

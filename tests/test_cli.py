@@ -846,49 +846,6 @@ def test_export_json_roundtrip(tmp_path):
     assert np.allclose(loaded["values"], psi.values)
 
 
-def test_parser_built_once_per_process(monkeypatch, capsys):
-    # main reuses one parser; each call must still answer as a fresh parser does
-    import sips.cli
-
-    sequence = [
-        ["verify", "--model", "scarf", "--params", "a=3,B=1", "--levels", "2", "--format", "json"],
-        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
-        ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both"],
-        ["reps", "classify", "--j", "-1.5", "--m0", "1.5"],
-        ["spectrum", "--model", "scarf", "--no-such-flag"],
-        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
-    ]
-
-    def answer(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    fresh = []
-    for argv in sequence:
-        sips.cli._parser.cache_clear()
-        fresh.append(answer(argv))
-    assert fresh[4][0] == 2 and "unrecognized arguments" in fresh[4][2]
-
-    builds = []
-    build_parser = sips.cli.build_parser
-
-    def counting_build_parser():
-        builds.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(sips.cli, "build_parser", counting_build_parser)
-    sips.cli._parser.cache_clear()
-    try:
-        assert [answer(argv) for argv in sequence] == fresh
-        assert len(builds) == 1
-    finally:
-        sips.cli._parser.cache_clear()
-
-
 def test_spectrum_deterministic_output(capsys):
     args = ("spectrum", "--model", "scarf", "--params", "a=3,B=1", "--format", "json")
     _, first, _ = run(capsys, *args)

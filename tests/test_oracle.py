@@ -179,7 +179,9 @@ def test_certificate_matches_sturm_count(model):
             if bounds[2] == 16001 and text != _EDGE_POINTS[model][0]:
                 continue  # one point per family at the finest grid keeps this fast
             grid = Grid(*bounds)
-            for k in (1, 2, 3, 5, 8, grid.n_points - 1):
+            # n_points - 2 solves for every interior level; n_points - 1 is one too many
+            small = (grid.n_points - 2,) if grid.n_points <= 101 else ()
+            for k in (1, 2, 3, 5, 8, *small, grid.n_points - 1):
                 try:
                     expected = _sturm_certified_spectrum(model, p, grid, k)
                 except GridTooCoarseError as exc:
