@@ -89,6 +89,8 @@ def parse_params(model, text: str | None, default_a: float | None = None) -> Par
                 raise ValueError(f"parameter {item!r} is not key=value")
             key, _, raw = item.partition("=")
             key = key.strip()
+            if key in values:
+                raise ValueError(f"parameter {key!r} given more than once in --params")
             if key not in model.param_names:
                 raise ValueError(
                     f"unknown parameter {key!r} for model {model.id} "
@@ -424,76 +426,106 @@ def cmd_reps_region_grid(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sips",
-        description="Bound-state spectra and wavefunctions of shape-invariant "
-        "potentials, their SO(2,1) potential algebra, and a finite-difference "
-        "cross-check.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(sp, model=True, fmt=("text", "json")) -> None:
+    if model:
+        sp.add_argument("--model", help="catalog model id")
+        sp.add_argument("--params", help="comma-separated key=value, e.g. a=3,B=1")
+        sp.add_argument("--grid", help="grid spec min:max:n (default per model)")
+    if fmt:
+        sp.add_argument("--format", choices=fmt, default=fmt[0])
+    sp.add_argument("--out", help="write output to this path (atomic)")
 
-    def add_common(sp, model=True, fmt=("text", "json")):
-        if model:
-            sp.add_argument("--model", help="catalog model id")
-            sp.add_argument("--params", help="comma-separated key=value, e.g. a=3,B=1")
-            sp.add_argument("--grid", help="grid spec min:max:n (default per model)")
-        if fmt:
-            sp.add_argument("--format", choices=fmt, default=fmt[0])
-        sp.add_argument("--out", help="write output to this path (atomic)")
 
-    sp = sub.add_parser("list", help="catalog metadata")
-    add_common(sp, model=False)
+def _add_list(sp) -> None:
+    _add_common(sp, model=False)
     sp.set_defaults(func=cmd_list)
 
-    sp = sub.add_parser("spectrum", help="bound-state energies")
-    add_common(sp)
+
+def _add_spectrum(sp) -> None:
+    _add_common(sp)
     sp.add_argument("--levels", type=int, default=3)
     sp.add_argument("--route", choices=("shape", "algebra", "both"), default="shape")
     sp.add_argument("--m", type=float, default=None, help="sector index (algebra route); default a+1/2")
     sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("verify", help="certify analytic spectrum against the eigensolver")
-    add_common(sp)
+
+def _add_verify(sp) -> None:
+    _add_common(sp)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--levels", type=int, default=None, help="default min(bound states, 5)")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("wavefunction", help="emit the n-th bound state")
-    add_common(sp, fmt=("csv", "json"))
+
+def _add_wavefunction(sp) -> None:
+    _add_common(sp, fmt=("csv", "json"))
     sp.add_argument("--n", type=int, required=True, help="level index")
     sp.set_defaults(func=cmd_wavefunction)
 
-    sp_algebra = sub.add_parser("algebra", help="potential-algebra checks")
+
+def _add_algebra(sp_algebra) -> None:
     sub_algebra = sp_algebra.add_subparsers(dest="subcommand", required=True)
     sp = sub_algebra.add_parser("check", help="closure and commutator residuals")
-    add_common(sp)
+    _add_common(sp)
     sp.add_argument("--m", type=float, required=True, help="sector index")
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.set_defaults(func=cmd_algebra_check)
 
-    sp_reps = sub.add_parser("reps", help="SO(2,1) representation queries")
+
+def _add_reps(sp_reps) -> None:
     sub_reps = sp_reps.add_subparsers(dest="subcommand", required=True)
 
     sp = sub_reps.add_parser("classify", help="match (j, m0) to a class")
     sp.add_argument("--j", type=float, required=True)
     sp.add_argument("--m0", type=float, required=True)
-    add_common(sp, model=False)
+    _add_common(sp, model=False)
     sp.set_defaults(func=cmd_reps_classify)
 
     sp = sub_reps.add_parser("enumerate", help="list m-values of a multiplet")
     sp.add_argument("--j", type=float, required=True)
     sp.add_argument("--m0", type=float, required=True)
     sp.add_argument("--count", type=int, default=8)
-    add_common(sp, model=False)
+    _add_common(sp, model=False)
     sp.set_defaults(func=cmd_reps_enumerate)
 
     sp = sub_reps.add_parser("region-grid", help="CSV raster of allowed regions")
     sp.add_argument("--j", required=True, help="range min:max:step")
     sp.add_argument("--m", required=True, help="range min:max:step")
-    add_common(sp, model=False, fmt=None)
+    _add_common(sp, model=False, fmt=None)
     sp.set_defaults(func=cmd_reps_region_grid)
 
+
+# command name: (help line, function that fills in its subparser)
+_COMMANDS = {
+    "list": ("catalog metadata", _add_list),
+    "spectrum": ("bound-state energies", _add_spectrum),
+    "verify": ("certify analytic spectrum against the eigensolver", _add_verify),
+    "wavefunction": ("emit the n-th bound state", _add_wavefunction),
+    "algebra": ("potential-algebra checks", _add_algebra),
+    "reps": ("SO(2,1) representation queries", _add_reps),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The sips parser. Given the name of a command, only that command's
+    subparser (for algebra and reps, its whole group) is built: enough to
+    parse an argv that starts with that name, with the same result, usage
+    lines and messages as the whole tree. Without one, every command is built."""
+    parser = argparse.ArgumentParser(
+        prog="sips",
+        description="Bound-state spectra and wavefunctions of shape-invariant "
+        "potentials, their SO(2,1) potential algebra, and a finite-difference "
+        "cross-check.",
+    )
+    # The top-level usage line lists every command either way. An explicit
+    # metavar would also rename the positional in argparse's messages, so it
+    # is set only where those messages cannot occur: the command is given.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -519,10 +551,11 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
+    # an argv that does not start with a command gets the whole tree, whose
+    # help and errors list every command
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(argv)
     try:
         for flag in ("levels", "n", "count"):
             value = getattr(args, flag, None)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
@@ -60,19 +61,42 @@ class TextChunks:
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write text, a str or an iterable of str chunks, to path atomically: an
-    error part-way (in the chunks too) leaves path as it was and no temp file."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    error part-way (in the chunks too) leaves path as it was and no temp file.
+    A new file gets the mode open() would give it (0o666 less the umask), a
+    replaced one keeps its mode. A path that exists but is no regular file
+    after following symlinks (a FIFO, /dev/stdout) is opened and written to
+    directly, since renaming over it would replace the FIFO or device."""
+    chunks = (text,) if isinstance(text, str) else text
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        mode = 0o666 & ~_umask()
+    else:
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not stat.S_ISREG(st.st_mode):
+            with open(path, "w") as handle:
+                handle.writelines(chunks)
+            return
+        mode = stat.S_IMODE(st.st_mode)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, mode)  # mkstemp creates the file 0o600
         with os.fdopen(fd, "w") as handle:
-            handle.writelines((text,) if isinstance(text, str) else text)
+            handle.writelines(chunks)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _umask() -> int:
+    # the process umask can only be read by setting it
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def wavefunction_record(

@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import errno
 import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from sips import (
     region_of,
     residual_norm,
 )
+from sips import cli
 from sips.cli import MAX_COUNT, MAX_POINTS, main, parse_grid_spec, parse_params, parse_range_spec
 from sips.export import CHUNK, atomic_write_text, json_chunks, read_json, wavefunction_record
 
@@ -55,6 +59,13 @@ def test_parse_params_rejects_unknown_key():
         parse_params("scarf", "B=1")
     p = parse_params("oscillator", None)
     assert p.a == 1.0
+
+
+@pytest.mark.parametrize("params,key", [("a=3,a=4", "a"), ("a=3,B=1,B=2", "B")])
+def test_repeated_param_key_is_usage_error(capsys, params, key):
+    code, out, err = run(capsys, "spectrum", "--model", "scarf", "--params", params)
+    usage_error(code, out, err)
+    assert err == f"error: parameter {key!r} given more than once in --params\n"
 
 
 def test_list_text(capsys):
@@ -429,6 +440,43 @@ def test_atomic_write_keeps_target_when_chunks_fail(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_out_to_fifo_writes_into_it(tmp_path, capsys):
+    _, expected, _ = run(capsys, "list")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, out, err = run(capsys, "list", "--out", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, out, err) == (0, "", "")
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_new_out_file_gets_umask_mode(tmp_path, capsys):
+    target = tmp_path / "new.json"
+    mask = os.umask(0o027)
+    try:
+        code, _, _ = run(capsys, "list", "--format", "json", "--out", str(target))
+    finally:
+        os.umask(mask)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+
+
+def test_replaced_out_file_keeps_its_mode(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("before\n")
+    target.chmod(0o664)
+    code, _, _ = run(capsys, "list", "--out", str(target))
+    assert code == 0
+    assert target.read_text() != "before\n"
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o664
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -568,15 +616,15 @@ def test_lazy_exports_complete():
 
 def test_stdout_closed_early_is_not_an_error():
     # `sips wavefunction ... | head -1`: the reader goes away part-way through
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "sips.cli", "wavefunction", "--model", "scarf", "--params", "a=3,B=1",
          "--n", "1", "--grid", "-20:20:64001"],
         env=_COLD_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline() == b"# model: scarf\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=120), err) == (0, b"")
+    ) as proc:
+        assert proc.stdout.readline() == b"# model: scarf\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -749,6 +797,109 @@ def test_count_at_limit_accepted(capsys):
     assert "0  5  8" in out
 
 
+@contextlib.contextmanager
+def _built_parsers():
+    """The parsers cli.main builds while the block runs."""
+    built, build = [], cli.build_parser
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    cli.build_parser = spy
+    try:
+        yield built
+    finally:
+        cli.build_parser = build
+
+
+def _parse_outcome(parser, argv):
+    # repr of vars() of the namespace (a parsed nan is equal in repr only), or
+    # the exit code and output of an argparse exit
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_whole_tree(parser, argv):
+    argv = cli._normalize_argv(argv)
+    assert _parse_outcome(parser, argv) == _parse_outcome(cli.build_parser(), argv)
+
+
+_SCARF = ["--model", "scarf", "--params", "a=3,B=1"]
+_PARSER_CORPUS = [
+    # the README commands
+    ["list"], ["list", "--format", "json"],
+    ["spectrum", *_SCARF, "--levels", "3", "--route", "both"],
+    ["verify", "--model", "morse", "--params", "a=3,B=1", "--tol", "1e-3", "--format", "json"],
+    ["wavefunction", *_SCARF, "--n", "1", "--grid", "-20:20:401"],
+    ["algebra", "check", "--model", "scarf", "--m", "2", "--params", "B=1", "--format", "json"],
+    ["reps", "classify", "--j", "-1.5", "--m0", "1.5"],
+    ["reps", "enumerate", "--j", "-1.5", "--m0", "1.5", "--count", "5"],
+    ["reps", "region-grid", "--j", "-4:1:0.25", "--m", "-4:4:0.25"],
+    # help at every level
+    ["-h"], ["--help"], ["list", "-h"], ["spectrum", "-h"], ["verify", "-h"], ["wavefunction", "-h"],
+    ["algebra", "-h"], ["algebra", "check", "-h"], ["reps", "-h"], ["reps", "classify", "-h"],
+    ["reps", "enumerate", "-h"], ["reps", "region-grid", "-h"], ["verify", *_SCARF, "-h"],
+    # no command, an unknown command or subcommand
+    [], ["verfy"], ["Verify"], ["--", "verify"], ["-h", "verify"], ["algebra"], ["algebra", "chek"],
+    ["reps"], ["reps", "x"],
+    # unrecognized options and arguments: the top-level usage line
+    ["-x"], ["verify", "--bogus"], ["verify", *_SCARF, "extra", "--bogus"], ["list", "list"],
+    ["algebra", "check", "extra"], ["reps", "classify", "--j", "1", "--m0", "2", "x"],
+    # missing required options and values
+    ["wavefunction", *_SCARF], ["reps", "classify", "--j", "1"], ["verify", "--model"], ["list", "--out"],
+    # bad choices and types
+    ["list", "--format", "xml"], ["spectrum", "--levels", "x"], ["spectrum", *_SCARF, "--route", "up"],
+    ["verify", "--tol", "abc"], ["reps", "enumerate", "--j", "1", "--m0", "0", "--count", "1.5"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=" ".join)
+def test_main_parser_parses_as_whole_tree(capsys, argv):
+    with _built_parsers() as built:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert len(built) == 1
+    assert_parses_as_whole_tree(built[0], argv)
+
+
+@pytest.mark.parametrize(
+    "argv,progs",
+    [
+        (["verify", *_SCARF, "--levels", "2"], ["sips", "sips verify"]),
+        (["list"], ["sips", "sips list"]),
+        (["algebra", "check", "-h"], ["sips", "sips algebra", "sips algebra check"]),
+        (["reps", "classify", "--j", "1", "--m0", "2"],
+         ["sips", "sips reps", "sips reps classify", "sips reps enumerate", "sips reps region-grid"]),
+        (["verfy"], ["sips", "sips list", "sips spectrum", "sips verify", "sips wavefunction",
+                     "sips algebra", "sips algebra check", "sips reps", "sips reps classify",
+                     "sips reps enumerate", "sips reps region-grid"]),
+    ],
+)
+def test_main_builds_only_the_invoked_command(monkeypatch, capsys, argv, progs):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert built == progs
+
+
 # Strategies over the CLI grammar. Accepted grids and rasters stay small (at
 # most 4001 points or cells); every larger draw is above MAX_POINTS.
 _MODEL_IDS = st.sampled_from(["scarf", "poschl_teller", "morse", "oscillator", "rosen_morse"])
@@ -819,13 +970,16 @@ def test_cli_total_over_argv_grammar(tmp_path_factory, argv, out):
     base.mkdir(exist_ok=True)
     if out is not None:
         argv = [*argv, "--out", str(base / out)]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with _built_parsers() as built, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejected the argv
             code = exc.code
             assert code == 2
     assert code in (0, 1, 2)
+    # the command's own parser reads the argv as the whole tree does
+    assert_parses_as_whole_tree(*built, argv)
     if out in ("missing/out.txt", "."):
         assert code == 2
     assert not list(base.rglob("*.tmp"))
