@@ -65,8 +65,11 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     A new file gets the mode open() would give it (0o666 less the umask), a
     replaced one keeps its mode. A path that exists but is no regular file
     after following symlinks (a FIFO, /dev/stdout) is opened and written to
-    directly, since renaming over it would replace the FIFO or device."""
+    directly, since renaming over it would replace the FIFO or device. A
+    symlink is written through: its target is replaced and the link stays a
+    link, and a dangling link creates its target, as open() would."""
     chunks = (text,) if isinstance(text, str) else text
+    path = os.path.realpath(path)
     try:
         st = os.stat(path)
     except FileNotFoundError:

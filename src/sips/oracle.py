@@ -4,8 +4,10 @@ This is the numerical referee for every analytic claim in the package, so it
 deliberately shares nothing with the analytic machinery: second-order central
 differences (the ladder code uses fourth-order stencils), Dirichlet walls at
 the box edges, and LAPACK's tridiagonal bisection (stebz) and inverse
-iteration (stein) for eigenpairs. ``spectrum`` certifies that a grid holds
-the requested levels from the eigenvalues stebz returns. ``sturm_count``, a
+iteration (stein) for eigenpairs. ``spectrum`` bisects each level only as far
+as the verdict needs, to 1e-3·tol in energy units (LAPACK's ABSTOL), and
+certifies that a grid holds the requested levels from the eigenvalues stebz
+returns, with a margin of that ABSTOL plus 8·eps·‖T‖₁. ``sturm_count``, a
 standalone utility independent of LAPACK, counts the levels below any
 energy without solving for them; ``spectrum`` calls it only for a grid that
 the eigenvalues do not certify.
@@ -99,15 +101,23 @@ def _sturm_count(diag: list, off2: list, E: float) -> int:
     return count
 
 
-def lowest_eigenvalues(T: TridiagonalOperator, k: int) -> NDArray[np.float64]:
-    """The k smallest eigenvalues, ascending, from LAPACK bisection (stebz)."""
+def lowest_eigenvalues(
+    T: TridiagonalOperator, k: int, abstol: float = 0.0
+) -> NDArray[np.float64]:
+    """The k smallest eigenvalues, ascending, from LAPACK bisection (stebz).
+
+    ``abstol`` is stebz's ABSTOL, the width in energy units to which each
+    eigenvalue is bisected; 0.0 keeps LAPACK's default, eps·‖T‖₁.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > T.size:
         raise ValueError(f"requested {k} eigenvalues from a {T.size}-point operator")
     from scipy.linalg import eigvalsh_tridiagonal  # loaded only when the referee runs
 
-    return eigvalsh_tridiagonal(T.diag, T.off, select="i", select_range=(0, k - 1))
+    return eigvalsh_tridiagonal(
+        T.diag, T.off, select="i", select_range=(0, k - 1), tol=abstol
+    )
 
 
 def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
@@ -127,38 +137,48 @@ def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
     return SampledFunction(T.grid, full).normalized()
 
 
-def spectrum(model, p: ParameterPoint, grid: Grid, k: int) -> NDArray[np.float64]:
+def spectrum(
+    model, p: ParameterPoint, grid: Grid, k: int, tol: float = 1e-3
+) -> NDArray[np.float64]:
     """The k lowest levels of -d²/dx² + V-(x; p) discretized on ``grid``.
+
+    ``tol`` is the verdict tolerance the levels will be judged against; each
+    level is bisected to 1e-3·tol in energy units (stebz's ABSTOL), so the
+    solve adds at most that to the discretization error being judged.
 
     For families with a continuum edge, the grid must hold k levels below it
     (the k-th lowest eigenvalue lies below the edge), and h·√(edge - min V)
     <= 1 must hold (the spacing resolves the shortest local wavelength). A
     grid too coarse for either, or with fewer interior points than k, raises
-    GridTooCoarseError instead of returning box states.
+    GridTooCoarseError instead of returning box states. A k-th level below
+    the edge by more than 1e-3·tol + 8·eps·‖T‖₁ certifies the grid; otherwise
+    ``sturm_count`` decides.
     """
     model = get_model(model)
     T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
+    abstol = 1e-3 * tol
     edge = model.continuum_edge(p)
     where = f"{grid.n_points}-point grid on [{grid.x_min:g}, {grid.x_max:g}]"
     if edge is None:
         if k > T.size:
             raise GridTooCoarseError(f"{where} has {T.size} interior points, too few for {k} levels")
-        return lowest_eigenvalues(T, k)
+        return lowest_eigenvalues(T, k, abstol)
     depth = edge - (np.min(T.diag) - 2.0 / grid.h**2)
     unresolved = grid.h * np.sqrt(max(depth, 0.0)) > 1.0
     # A grid that cannot pass is not solved: that would cost O(k·N).
-    levels = None if k > T.size or unresolved else lowest_eigenvalues(T, k)
-    # dstebz (LAPACK 3.x documentation of ABSTOL and dlaebz) returns the
-    # midpoint of a bisection interval no wider than max(ABSTOL, 2·eps·|λ|),
-    # with ABSTOL = eps·‖T‖₁ by default, so at most eps·‖T‖₁ from the
-    # eigenvalue its Sturm counts see; those counts are exact for T with
+    levels = None if k > T.size or unresolved else lowest_eigenvalues(T, k, abstol)
+    # dstebz (LAPACK 3.x documentation of ABSTOL and dlaebz) stops once the
+    # bisection interval is narrower than max(ABSTOL, 2·eps·|λ|) and returns
+    # its midpoint, at most ABSTOL/2 + eps·‖T‖₁ from the eigenvalue its
+    # Sturm counts see (|λ| ≤ ‖T‖₁); those counts are exact for T with
     # off-diagonals perturbed by a few eps (Kahan), another ~2.5·eps·‖T‖₁.
-    # A steep wall makes this larger than the levels themselves (morse on
-    # [-20, 20]: ‖T‖₁ ≈ 2e17). A k-th eigenvalue below the edge by 8·eps·‖T‖₁,
-    # over twice the sum, certifies the grid; otherwise the Sturm count, O(N),
-    # decides and gives the error its level count.
+    # A steep wall makes the eps terms larger than the levels themselves
+    # (morse on [-20, 20]: ‖T‖₁ ≈ 2e17). A k-th eigenvalue below the edge by
+    # ABSTOL + 8·eps·‖T‖₁, over twice the sum, certifies the grid; otherwise
+    # the Sturm count, O(N), decides and gives the error its level count.
     norm = np.max(np.abs(T.diag)) + 2.0 / grid.h**2
-    if levels is None or levels[-1] >= edge - 8.0 * np.finfo(float).eps * norm:
+    margin = abstol + 8.0 * np.finfo(float).eps * norm
+    if levels is None or levels[-1] >= edge - margin:
         below = sturm_count(T, edge)
         if below < k:
             raise GridTooCoarseError(

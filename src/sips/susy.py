@@ -20,8 +20,6 @@ from .catalog import (
     default_grid,
     get_model,
     max_bound_states,
-    potential_minus,
-    potential_plus,
 )
 from .grids import Grid, SampledFunction, derivative, node_count
 
@@ -93,16 +91,26 @@ def spectrum_by_shape_invariance(model, p0: ParameterPoint, n_max: int) -> Spect
 
 @dataclass
 class ShapeInvarianceReport:
-    """Max-residual check of V+(x, a_k) = V-(x, a_{k+1}) + R(a_k) per shift k."""
+    """Max-residual check of V+(x, a_k) = V-(x, a_{k+1}) + R(a_k) per shift k.
+
+    ``residuals`` are the raw max |V+ - V- - R| over the grid; ``excess`` is
+    the max over the grid of each point's residual beyond its own rounding
+    floor (0 when every point is within it), the figure a verdict judges.
+    """
 
     model_id: str
     p0: ParameterPoint
     grid: Grid
     residuals: NDArray[np.float64]
+    excess: NDArray[np.float64]
 
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residuals, initial=0.0))
+
+    @property
+    def max_excess(self) -> float:
+        return float(np.max(self.excess, initial=0.0))
 
     def to_dict(self) -> dict:
         return {
@@ -111,7 +119,17 @@ class ShapeInvarianceReport:
             "grid": [self.grid.x_min, self.grid.x_max, self.grid.n_points],
             "residuals": self.residuals.tolist(),
             "max_residual": self.max_residual,
+            "excess": self.excess.tolist(),
+            "max_excess": self.max_excess,
         }
+
+
+# V± are sums of terms each rounded to a few eps of itself (W evaluated, then
+# squared; W'), then subtracted: 16·eps times the magnitudes at a point
+# bounds the rounding of its residual with room to spare. On a steep wall
+# that floor is large (morse at x = -20: W² ≈ 2.4e17, eps·W² ≈ 53), in the
+# well it is ~1e-14, so a wrong identity still shows at full sensitivity.
+_ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 
 def verify_shape_invariance(
@@ -120,19 +138,32 @@ def verify_shape_invariance(
     """Evaluate the shape-invariance identity numerically for k = 0..k_max-1.
 
     Residual k is max over interior grid points of
-    |V+(x, a_k) - V-(x, a_{k+1}) - R(a_k)|; all parameter points through
-    a_{k_max} must be valid (InvalidParameterError otherwise).
+    |V+(x, a_k) - V-(x, a_{k+1}) - R(a_k)|; excess k is the max over the same
+    points of that residual less its rounding floor, a small multiple of eps
+    times W² + |W'| at a_k and a_{k+1} plus |R(a_k)|. All parameter points
+    through a_{k_max} must be valid (InvalidParameterError otherwise).
     """
     model = get_model(model)
     grid = grid or default_grid(model)
     points = [shift_params(model, p0, k) for k in range(k_max + 1)]
+    for p in points:
+        _require_valid(model, p)
     x = grid.x[1:-1]
+    # W² and W' once per parameter point; V∓ = W² ∓ W' as in catalog.potential_minus/plus
+    terms = [(model.w(x, p) ** 2, model.w_prime(x, p)) for p in points]
     residuals = np.empty(k_max)
+    excess = np.empty(k_max)
     for k in range(k_max):
-        lhs = potential_plus(model, x, points[k])
-        rhs = potential_minus(model, x, points[k + 1]) + model.remainder(points[k])
-        residuals[k] = np.max(np.abs(lhs - rhs))
-    return ShapeInvarianceReport(model.id, p0, grid, residuals)
+        (w2, dw), (w2_next, dw_next) = terms[k], terms[k + 1]
+        r = model.remainder(points[k])
+        diff = np.abs((w2 + dw) - ((w2_next - dw_next) + r))
+        residuals[k] = np.max(diff)
+        if residuals[k] <= _ROUNDING_FLOOR * abs(r):
+            excess[k] = 0.0  # below every point's floor: the common case, spared the floor
+            continue
+        floor = _ROUNDING_FLOOR * (w2 + np.abs(dw) + w2_next + np.abs(dw_next) + abs(r))
+        excess[k] = np.max(np.maximum(diff - floor, 0.0))
+    return ShapeInvarianceReport(model.id, p0, grid, residuals, excess)
 
 
 def ground_state(model, p: ParameterPoint, grid: Grid | None = None) -> SampledFunction:

@@ -141,6 +141,41 @@ def test_verify_morse_default_box(capsys):
     assert "PASS" in out
 
 
+def test_verify_steep_wall_passes(capsys):
+    # on [-20, 20] the morse wall reaches V ≈ 2.4e17: the referee and the
+    # identity check must both see past that wall's rounding
+    code, out, _ = run(
+        capsys, "verify", "--model", "morse", "--params", "a=3,B=1",
+        "--grid", "-20:20:4001", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["shape_invariance"]["max_residual"] > 1.0  # rounding, kept raw
+    assert payload["shape_invariance"]["excess"] == [0.0, 0.0]
+    assert payload["spectrum"]["max_abs_diff"] < 1e-3
+
+
+@pytest.mark.parametrize("grid", ["-6:20:4001", "-20:20:4001"])
+def test_verify_shifted_remainder_fails(capsys, monkeypatch, grid):
+    # a remainder off by 2·tol breaks the identity in the well, where the
+    # rounding floor is tiny, whatever the wall does at the box edge
+    import dataclasses
+
+    from sips import catalog
+
+    morse = catalog.MODELS["morse"]
+    shifted = dataclasses.replace(morse, remainder=lambda p: morse.remainder(p) + 2e-3)
+    monkeypatch.setitem(catalog.MODELS, "morse", shifted)
+    code, out, _ = run(
+        capsys, "verify", "--model", "morse", "--params", "a=3,B=1", "--grid", grid,
+        "--format", "json",
+    )
+    assert code == 1
+    report = json.loads(out)["shape_invariance"]
+    assert min(report["excess"]) == pytest.approx(2e-3, rel=1e-6)
+    assert report["max_excess"] >= 1e-3
+
+
 def test_verify_hits_discretization_floor(capsys):
     code, out, _ = run(
         capsys, "verify", "--model", "scarf", "--params", "a=3,B=1", "--tol", "1e-9"
@@ -475,6 +510,31 @@ def test_replaced_out_file_keeps_its_mode(tmp_path, capsys):
     assert code == 0
     assert target.read_text() != "before\n"
     assert stat.S_IMODE(os.stat(target).st_mode) == 0o664
+
+
+def test_out_through_symlink_writes_its_target(tmp_path, capsys):
+    real = tmp_path / "real.txt"
+    real.write_text("before\n")
+    real.chmod(0o640)
+    link = tmp_path / "link"
+    link.symlink_to("real.txt")
+    code, out, err = run(capsys, "reps", "classify", "--j", "-1.5", "--m0", "1.5", "--out", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == "real.txt"
+    assert real.read_text() == link.read_text() != "before\n"
+    assert stat.S_IMODE(os.stat(real).st_mode) == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+def test_out_through_dangling_symlink_creates_its_target(tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "link"
+    link.symlink_to("sub/new.txt")
+    code, _, _ = run(capsys, "reps", "classify", "--j", "-1.5", "--m0", "1.5", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert (tmp_path / "sub" / "new.txt").read_text() == link.read_text() != ""
+    assert list((tmp_path / "sub").iterdir()) == [tmp_path / "sub" / "new.txt"]
 
 
 @pytest.mark.parametrize(

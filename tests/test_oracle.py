@@ -137,9 +137,9 @@ def test_spectrum_rejects_unresolved_well():
         spectrum("poschl_teller", ParameterPoint(1e9), default_grid("poschl_teller"), 3)
 
 
-def _sturm_certified_spectrum(model, p, grid, k):
+def _sturm_certified_spectrum(model, p, grid, k, tol=1e-3):
     # Reference certificate: count the levels below the edge with the Sturm
-    # sequence first, then check the spacing, then solve.
+    # sequence first, then check the spacing, then solve to the same ABSTOL.
     model = get_model(model)
     T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
     edge = model.continuum_edge(p)
@@ -154,7 +154,7 @@ def _sturm_certified_spectrum(model, p, grid, k):
         raise GridTooCoarseError(
             f"grid spacing h={grid.h:g} cannot resolve a well {depth:g} deep (need h·√depth <= 1)"
         )
-    return lowest_eigenvalues(T, k)
+    return lowest_eigenvalues(T, k, abstol=1e-3 * tol)
 
 
 _EDGE_POINTS = {
@@ -190,6 +190,31 @@ def test_certificate_matches_sturm_count(model):
                     assert str(got.value) == str(exc)
                 else:
                     assert np.array_equal(spectrum(model, p, grid, k), expected)
+
+
+_PRECISION_POINTS = {**{model: points[0] for model, points in _EDGE_POINTS.items()}, "oscillator": None}
+
+
+@pytest.mark.parametrize("model", sorted(_PRECISION_POINTS))
+def test_levels_are_bisected_to_a_thousandth_of_tol(model):
+    # against LAPACK's most accurate setting, ABSTOL = 2·tiny, every level
+    # lies within 1e-3·tol plus the eps·‖T‖₁ both solves share (Kahan)
+    p = parse_params(model, _PRECISION_POINTS[model])
+    certified = 0
+    for bounds in _CERTIFICATE_GRIDS:
+        grid = Grid(*bounds)
+        T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
+        norm = np.max(np.abs(T.diag)) + 2.0 / grid.h**2
+        for tol in (1e-2, 1e-3, 1e-6):
+            try:
+                levels = spectrum(model, p, grid, 3, tol)
+            except GridTooCoarseError:
+                continue
+            certified += 1
+            best = lowest_eigenvalues(T, 3, abstol=2.0 * np.finfo(float).tiny)
+            bound = 1e-3 * tol + np.finfo(float).eps * norm
+            assert np.max(np.abs(levels - best)) <= bound, (bounds, tol)
+    assert certified >= 9
 
 
 def test_certified_grid_needs_no_sturm_count(monkeypatch):
