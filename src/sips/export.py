@@ -69,7 +69,6 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     symlink is written through: its target is replaced and the link stays a
     link, and a dangling link creates its target, as open() would."""
     chunks = (text,) if isinstance(text, str) else text
-    path = os.path.realpath(path)
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -82,6 +81,9 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
                 handle.writelines(chunks)
             return
         mode = stat.S_IMODE(st.st_mode)
+    # Resolved only for a regular or missing target: /dev/stdout on a pipe
+    # resolves to a name that does not exist ('pipe:[N]').
+    path = os.path.realpath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

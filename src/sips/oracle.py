@@ -5,8 +5,8 @@ deliberately shares nothing with the analytic machinery: second-order central
 differences (the ladder code uses fourth-order stencils), Dirichlet walls at
 the box edges, and LAPACK's tridiagonal bisection (stebz) and inverse
 iteration (stein) for eigenpairs. ``spectrum`` bisects each level only as far
-as the verdict needs, to 1e-3·tol in energy units (LAPACK's ABSTOL), and
-certifies that a grid holds the requested levels from the eigenvalues stebz
+as the verdict needs, to 1e-3·min(tol, 1e-3) in energy units (LAPACK's
+ABSTOL), and certifies that a grid holds the requested levels from the eigenvalues stebz
 returns, with a margin of that ABSTOL plus 8·eps·‖T‖₁. ``sturm_count``, a
 standalone utility independent of LAPACK, counts the levels below any
 energy without solving for them; ``spectrum`` calls it only for a grid that
@@ -143,20 +143,21 @@ def spectrum(
     """The k lowest levels of -d²/dx² + V-(x; p) discretized on ``grid``.
 
     ``tol`` is the verdict tolerance the levels will be judged against; each
-    level is bisected to 1e-3·tol in energy units (stebz's ABSTOL), so the
-    solve adds at most that to the discretization error being judged.
+    level is bisected to 1e-3·min(tol, 1e-3) in energy units (stebz's
+    ABSTOL), so the solve adds at most that to the discretization error being
+    judged, and a large tol still reports the discretized levels.
 
     For families with a continuum edge, the grid must hold k levels below it
     (the k-th lowest eigenvalue lies below the edge), and h·√(edge - min V)
     <= 1 must hold (the spacing resolves the shortest local wavelength). A
     grid too coarse for either, or with fewer interior points than k, raises
     GridTooCoarseError instead of returning box states. A k-th level below
-    the edge by more than 1e-3·tol + 8·eps·‖T‖₁ certifies the grid; otherwise
+    the edge by more than that ABSTOL + 8·eps·‖T‖₁ certifies the grid; otherwise
     ``sturm_count`` decides.
     """
     model = get_model(model)
     T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
-    abstol = 1e-3 * tol
+    abstol = 1e-3 * min(tol, 1e-3)
     edge = model.continuum_edge(p)
     where = f"{grid.n_points}-point grid on [{grid.x_min:g}, {grid.x_max:g}]"
     if edge is None:

@@ -20,6 +20,8 @@ from .catalog import (
     default_grid,
     get_model,
     max_bound_states,
+    potential_minus,
+    potential_plus,
 )
 from .grids import Grid, SampledFunction, derivative, node_count
 
@@ -124,11 +126,11 @@ class ShapeInvarianceReport:
         }
 
 
-# V± are sums of terms each rounded to a few eps of itself (W evaluated, then
-# squared; W'), then subtracted: 16·eps times the magnitudes at a point
-# bounds the rounding of its residual with room to spare. On a steep wall
-# that floor is large (morse at x = -20: W² ≈ 2.4e17, eps·W² ≈ 53), in the
-# well it is ~1e-14, so a wrong identity still shows at full sensitivity.
+# V+ and V- are each rounded to a few eps of the terms they sum, and on a
+# steep wall those are huge (morse at x = -20: V± ≈ 2.4e17, eps·V± ≈ 53), so
+# the residual there is rounding. 16·eps times
+# |V+| + |V-| + |R| at a point bounds that rounding with room to spare; in
+# the well it is ~1e-14, so a wrong identity still shows at full sensitivity.
 _ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
 
 
@@ -139,29 +141,23 @@ def verify_shape_invariance(
 
     Residual k is max over interior grid points of
     |V+(x, a_k) - V-(x, a_{k+1}) - R(a_k)|; excess k is the max over the same
-    points of that residual less its rounding floor, a small multiple of eps
-    times W² + |W'| at a_k and a_{k+1} plus |R(a_k)|. All parameter points
-    through a_{k_max} must be valid (InvalidParameterError otherwise).
+    points of that residual less its rounding floor, 16·eps times
+    |V+(x, a_k)| + |V-(x, a_{k+1})| + |R(a_k)|. All parameter points through
+    a_{k_max} must be valid (InvalidParameterError otherwise).
     """
     model = get_model(model)
     grid = grid or default_grid(model)
     points = [shift_params(model, p0, k) for k in range(k_max + 1)]
-    for p in points:
-        _require_valid(model, p)
     x = grid.x[1:-1]
-    # W² and W' once per parameter point; V∓ = W² ∓ W' as in catalog.potential_minus/plus
-    terms = [(model.w(x, p) ** 2, model.w_prime(x, p)) for p in points]
     residuals = np.empty(k_max)
     excess = np.empty(k_max)
     for k in range(k_max):
-        (w2, dw), (w2_next, dw_next) = terms[k], terms[k + 1]
         r = model.remainder(points[k])
-        diff = np.abs((w2 + dw) - ((w2_next - dw_next) + r))
+        lhs = potential_plus(model, x, points[k])
+        v_minus = potential_minus(model, x, points[k + 1])
+        diff = np.abs(lhs - (v_minus + r))
+        floor = _ROUNDING_FLOOR * (np.abs(lhs) + np.abs(v_minus) + abs(r))
         residuals[k] = np.max(diff)
-        if residuals[k] <= _ROUNDING_FLOOR * abs(r):
-            excess[k] = 0.0  # below every point's floor: the common case, spared the floor
-            continue
-        floor = _ROUNDING_FLOOR * (w2 + np.abs(dw) + w2_next + np.abs(dw_next) + abs(r))
         excess[k] = np.max(np.maximum(diff - floor, 0.0))
     return ShapeInvarianceReport(model.id, p0, grid, residuals, excess)
 

@@ -687,6 +687,16 @@ def test_stdout_closed_early_is_not_an_error():
     assert (proc.returncode, err) == (0, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_to_dev_stdout_on_a_pipe_writes_into_it():
+    # `sips list --out /dev/stdout | cat`: the link resolves to 'pipe:[N]',
+    # which names no file, so the pipe must be written through the link
+    expected = _cold("-m", "sips.cli", "list")
+    proc = _cold("-m", "sips.cli", "list", "--out", "/dev/stdout")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected.stdout != ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_stdout_write_error_is_usage_error():
     with open("/dev/full", "w") as full:

@@ -154,7 +154,7 @@ def _sturm_certified_spectrum(model, p, grid, k, tol=1e-3):
         raise GridTooCoarseError(
             f"grid spacing h={grid.h:g} cannot resolve a well {depth:g} deep (need h·√depth <= 1)"
         )
-    return lowest_eigenvalues(T, k, abstol=1e-3 * tol)
+    return lowest_eigenvalues(T, k, abstol=1e-3 * min(tol, 1e-3))
 
 
 _EDGE_POINTS = {
@@ -198,21 +198,22 @@ _PRECISION_POINTS = {**{model: points[0] for model, points in _EDGE_POINTS.items
 @pytest.mark.parametrize("model", sorted(_PRECISION_POINTS))
 def test_levels_are_bisected_to_a_thousandth_of_tol(model):
     # against LAPACK's most accurate setting, ABSTOL = 2·tiny, every level
-    # lies within 1e-3·tol plus the eps·‖T‖₁ both solves share (Kahan)
+    # lies within 1e-3·min(tol, 1e-3) plus the eps·‖T‖₁ both solves share
+    # (Kahan); tol = 1e6 checks that a large tol does not coarsen the levels
     p = parse_params(model, _PRECISION_POINTS[model])
     certified = 0
     for bounds in _CERTIFICATE_GRIDS:
         grid = Grid(*bounds)
         T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
         norm = np.max(np.abs(T.diag)) + 2.0 / grid.h**2
-        for tol in (1e-2, 1e-3, 1e-6):
+        for tol in (1e-2, 1e-3, 1e-6, 1e6):
             try:
                 levels = spectrum(model, p, grid, 3, tol)
             except GridTooCoarseError:
                 continue
             certified += 1
             best = lowest_eigenvalues(T, 3, abstol=2.0 * np.finfo(float).tiny)
-            bound = 1e-3 * tol + np.finfo(float).eps * norm
+            bound = 1e-3 * min(tol, 1e-3) + np.finfo(float).eps * norm
             assert np.max(np.abs(levels - best)) <= bound, (bounds, tol)
     assert certified >= 9
 

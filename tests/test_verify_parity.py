@@ -1,8 +1,9 @@
 """Verdict parity of `sips verify` with outcomes pinned from the referee that
 bisected every level to LAPACK's default ABSTOL, eps·‖T‖₁.
 
-The referee now bisects to 1e-3·tol in energy units. That must leave every
-exit code and verdict as it was and move no level by more than 1e-3·tol. The
+The referee now bisects to 1e-3·min(tol, 1e-3) in energy units. That must
+leave every exit code and verdict as it was and move no level by more than
+that. The
 one verdict that changes on purpose, the steep-wall morse case on
 [-20, 20], is tested in test_cli.py (test_verify_steep_wall_passes).
 """
@@ -16,7 +17,8 @@ import pytest
 from sips.cli import main
 
 # (model, params, grid, levels, tol, exit code, passed, numeric levels);
-# None leaves the option at its default. The README commands, the five
+# None leaves the option at its default. The README commands, a tol so
+# large that only the cap on ABSTOL keeps the levels right, the five
 # points whose correct closed forms the default grid fails, the oscillator
 # grid with too few points, and the corners of the parameter ranges the
 # referee benchmark draws from at 1001, 4001 and 16001 points.
@@ -29,6 +31,8 @@ PINNED = [
     ("scarf", "a=3,B=1", None, None, 0.01, 0, True,
      [-4.74875136629e-05, 4.99986434261, 7.99986429622]),
     ("scarf", "a=3,B=1", None, None, 1e-06, 1, False,
+     [-4.74875136629e-05, 4.99986434261, 7.99986429622]),
+    ("scarf", "a=3,B=1", None, None, 1e6, 0, True,
      [-4.74875136629e-05, 4.99986434261, 7.99986429622]),
     ("oscillator", None, "-5:5:9", 20, None, 2, None, None),
     ("poschl_teller", "a=6", None, None, None, 1, False,
@@ -132,6 +136,6 @@ def test_verify_verdict_matches_pinned(model, params, grid, levels, tol, code, p
     assert payload["passed"] is passed
     got = payload["spectrum"]["numeric"]
     assert len(got) == len(numeric)
-    # pinned to 12 significant digits, far below 1e-3·tol
+    # pinned to 12 significant digits, far below 1e-3·min(tol, 1e-3)
     moved = max(abs(a - b) for a, b in zip(got, numeric))
-    assert moved <= 1e-3 * (tol or 1e-3)
+    assert moved <= 1e-3 * min(tol or 1e-3, 1e-3)
