@@ -3,7 +3,10 @@
 The ground state of each family member is exp(-integral of W), with the
 integral in closed form from the catalog. The n-th state of the a0 member is
 then a chain of first-order raising operators applied to the ground state of
-the n-times-shifted member.
+the n-times-shifted member. Each step carries the pair (psi, psi') from W and
+the remainder R alone: psi solves the partner Hamiltonian (d/dx + W)(-d/dx + W)
+at a known energy, which fixes the raised state's derivative, so no derivative
+is taken on the grid.
 Node counts and eigen-residuals against the finite-difference operator check
 every state.
 """

@@ -63,7 +63,6 @@ _EXPORTS = {
     "susy": (
         "ShapeInvarianceReport",
         "Spectrum",
-        "apply_a_plus",
         "excited_state_by_ladder",
         "ground_state",
         "shift_params",

@@ -1,7 +1,7 @@
 """Uniform 1D grids, sampled functions, and finite-difference helpers.
 
-Derivatives use 5-point stencils (fourth order): central at interior points,
-one-sided at the two outermost points on each side.
+Derivatives, which only the algebra checks take, use 5-point stencils (fourth
+order): central at interior points, one-sided at the two outermost per side.
 """
 
 from __future__ import annotations

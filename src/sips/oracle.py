@@ -2,7 +2,7 @@
 
 This is the numerical referee for every analytic claim in the package, so it
 deliberately shares nothing with the analytic machinery: second-order central
-differences (the ladder code uses fourth-order stencils), Dirichlet walls at
+differences (the ladder takes no derivative), Dirichlet walls at
 the box edges, and LAPACK's tridiagonal bisection (stebz) and inverse
 iteration (stein) for eigenpairs. ``spectrum`` bisects each level only as far
 as the verdict needs, to 1e-3·min(tol, 1e-3) in energy units (LAPACK's

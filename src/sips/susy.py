@@ -3,7 +3,10 @@
 The partner of V-(x, a) reproduces V-(x, a + δ) up to the constant R(a), so
 energies follow from the recursion E₀ = 0, E_n = Σ_{k<n} R(a_k) with
 a_k = a₀ + k·δ, and the n-th wavefunction is a chain of raising operators
-(-d/dx + W) applied to the ground state of the n-times-shifted member.
+(-d/dx + W) applied to the ground state of the n-times-shifted member. The
+chain carries (ψ, ψ′) and takes no derivative on the grid. With W = W(x; a_k),
+the step at a_k is ψₖ = W·ψ - ψ′ and ψₖ′ = ε·ψ - W·ψₖ, exact because ψ solves
+H+(a_k) = (d/dx + W)(-d/dx + W) at the energy ε = Σ_{j≥k} R(a_j).
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ from numpy.typing import NDArray
 from .catalog import (
     ParameterPoint,
     _require_level,
-    _require_valid,
     default_grid,
     get_model,
     max_bound_states,
     potential_minus,
     potential_plus,
 )
-from .grids import Grid, SampledFunction, derivative, node_count
+from .grids import Grid, SampledFunction, node_count
 
 __all__ = [
     "Spectrum",
@@ -32,7 +34,6 @@ __all__ = [
     "spectrum_by_shape_invariance",
     "verify_shape_invariance",
     "ground_state",
-    "apply_a_plus",
     "excited_state_by_ladder",
     "node_count",
 ]
@@ -163,25 +164,8 @@ def verify_shape_invariance(
 
 
 def ground_state(model, p: ParameterPoint, grid: Grid | None = None) -> SampledFunction:
-    """Nodeless ground state ψ₀ ∝ exp(-∫W), normalized as every state is.
-
-    The exponent is the catalog's closed-form ∫W, shifted so that its peak is
-    0 before exponentiating, so steep superpotentials cannot overflow.
-    """
-    model = get_model(model)
-    grid = grid or default_grid(model)
-    _require_valid(model, p)
-    log_psi = -np.asarray(model.w_integral(grid.x, p), dtype=float)
-    log_psi -= np.max(log_psi)
-    return SampledFunction(grid, np.exp(log_psi)).normalized()
-
-
-def apply_a_plus(model, p: ParameterPoint, f: SampledFunction) -> SampledFunction:
-    """Raising operator (-d/dx + W(x; p)) applied with 5-point stencils."""
-    model = get_model(model)
-    w = np.asarray(model.w(f.grid.x, p), dtype=float)
-    raised = -derivative(f.values, f.grid.h) + w * f.values
-    return SampledFunction(f.grid, raised)
+    """Nodeless ground state ψ₀ ∝ exp(-∫W): the ladder at n = 0."""
+    return excited_state_by_ladder(model, p, 0, grid)
 
 
 def excited_state_by_ladder(
@@ -189,14 +173,31 @@ def excited_state_by_ladder(
 ) -> SampledFunction:
     """n-th bound state as a raising chain over the shifted family.
 
-    Anchors on the ground state of the n-times-shifted member and applies the
-    raising operator at a_{n-1}, ..., a_0; n = 0 returns the ground state
-    itself, normalized as every state is (SampledFunction.normalized).
+    Anchors on ψ₀(a_n) = exp(-∫W(a_n)), with ψ′ = -W(a_n)·ψ₀, and steps
+    (ψ, ψ′) ← (W·ψ - ψ′, ε·ψ - W·(W·ψ - ψ′)) at a_{n-1}, ..., a_0 as the
+    module docstring derives; n = 0 returns the ground state itself,
+    normalized as every state is (SampledFunction.normalized).
     """
     model = get_model(model)
     grid = grid or default_grid(model)
     _require_level(model, p0, n)
-    psi = ground_state(model, shift_params(model, p0, n), grid)
+    x = grid.x
+    top = shift_params(model, p0, n)
+    # (ψ, ψ′) = e^log_scale·(u, v), rescaled pointwise at each step: neither a
+    # ψ₀ that underflows on a coarse grid nor a growing Wⁿ can lose the state
+    log_scale = -np.asarray(model.w_integral(x, top), dtype=float)
+    u, v = np.ones_like(x), -model.w(x, top)
+    energy = 0.0
     for k in range(n - 1, -1, -1):
-        psi = apply_a_plus(model, shift_params(model, p0, k), psi)
-    return psi.normalized()
+        p = shift_params(model, p0, k)
+        w = model.w(x, p)
+        energy += model.remainder(p)
+        u, v = w * u - v, energy * u
+        v -= w * u
+        scale = np.maximum(np.abs(u), np.abs(v))
+        scale[scale == 0.0] = 1.0
+        u, v, log_scale = u / scale, v / scale, log_scale + np.log(scale)
+    with np.errstate(divide="ignore"):
+        log_scale += np.log(np.abs(u))
+    psi = np.copysign(np.exp(log_scale - np.max(log_scale)), u)
+    return SampledFunction(grid, psi).normalized()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermval
 
 import sips
 from sips import (
@@ -293,6 +294,29 @@ def test_wavefunction_ground_state_is_positive(capsys):
     assert payload["energy"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "model,params,n",
+    [("oscillator", None, 9), ("oscillator", None, 12), ("oscillator", None, 31),
+     ("morse", "a=20.5,B=1", 20), ("scarf", "a=12.5,B=3", 12)],
+)
+def test_wavefunction_high_level_at_default_grid(capsys, model, params, n):
+    # high n at the default h: where a chain that differentiates on the grid
+    # turns its roundoff into hundreds of spurious nodes
+    argv = ["wavefunction", "--model", model, "--n", str(n), "--format", "json"]
+    code, out, err = run(capsys, *argv, *(["--params", params] if params else []))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["node_count"] == n
+    if model == "oscillator":
+        grid = payload["grid"]
+        x = np.linspace(grid["x_min"], grid["x_max"], grid["n_points"])
+        values = np.array(payload["values"])
+        exact = hermval(x, [0] * n + [1]) * np.exp(-(x**2) / 2)
+        exact /= np.sqrt(np.trapezoid(exact**2, x))
+        exact *= np.sign(exact @ values)
+        assert np.max(np.abs(values - exact)) < 1e-10
+
+
 def test_wavefunction_out_of_range(capsys):
     code, _, err = run(
         capsys, "wavefunction", "--model", "scarf", "--params", "a=3,B=1", "--n", "5"
@@ -425,7 +449,7 @@ def _wavefunction_bytes(tmp_path, capsys, fmt, *argv):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("points", [3, CHUNK - 1, CHUNK, CHUNK + 1, 64001])
 def test_wavefunction_bytes_match_row_loop(tmp_path, capsys, fmt, points):
-    n = 0 if points < 7 else 2  # the ladder's stencils need 7 points
+    n = 2
     spec = f"-20:20:{points}"
     out = _wavefunction_bytes(
         tmp_path, capsys, fmt, "--model", "scarf", "--params", "a=3,B=1", "--n", str(n), "--grid", spec
@@ -636,7 +660,7 @@ _PUBLIC_NAMES = {
     "grids": ["Grid", "SampledFunction", "derivative", "node_count"],
     "oracle": ["SpectrumComparison", "TridiagonalOperator", "compare_spectra", "discretize_hamiltonian",
                "eigenvector", "lowest_eigenvalues", "residual_norm", "spectrum", "sturm_count"],
-    "susy": ["ShapeInvarianceReport", "Spectrum", "apply_a_plus", "excited_state_by_ladder", "ground_state",
+    "susy": ["ShapeInvarianceReport", "Spectrum", "excited_state_by_ladder", "ground_state",
              "shift_params", "spectrum_by_shape_invariance", "verify_shape_invariance"],
     "unireps": ["Multiplet", "Region", "RepClass", "RepLabel", "classify", "enumerate_multiplet",
                 "ladder_coefficient", "positivity_check", "region_of"],
@@ -645,7 +669,7 @@ _PUBLIC_NAMES = {
 
 def test_lazy_exports_complete():
     names = {name: module for module, owned in _PUBLIC_NAMES.items() for name in owned}
-    assert len(names) == 58
+    assert len(names) == 57
     script = (
         "import importlib, json, sys, sips\n"
         f"names = {names!r}\n"

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from sips import (
     Grid,
-    GridTooCoarseError,
     InvalidParameterError,
     LevelOutOfRangeError,
     ParameterPoint,
     SampledFunction,
-    apply_a_plus,
     closed_form_energy,
     default_grid,
     discretize_hamiltonian,
@@ -169,36 +167,6 @@ def test_normalized_fixes_norm_and_sign(ref_grid):
     assert np.all(psi.values[x < 0] >= 0.0)
 
 
-def test_apply_a_plus_oscillator(ref_grid):
-    p = ParameterPoint(1.0)
-    psi0 = ground_state("oscillator", p, ref_grid)
-    raised = apply_a_plus("oscillator", p, psi0)
-    target = 2.0 * ref_grid.x * psi0.values
-    assert np.max(np.abs(raised.values - target)) < 1e-6 * np.max(np.abs(target))
-
-
-def test_apply_a_plus_linear_in_zero(ref_grid):
-    zero = SampledFunction(ref_grid, np.zeros(ref_grid.n_points))
-    out = apply_a_plus("scarf", ParameterPoint(3.0, {"B": 1.0}), zero)
-    assert np.all(out.values == 0.0)
-
-
-def test_apply_a_plus_single_step(ref_grid, scarf_p):
-    # one raising step from the shifted ground state lands on the first
-    # excited level of the unshifted member
-    p1 = shift_params("scarf", scarf_p, 1)
-    psi = apply_a_plus("scarf", scarf_p, ground_state("scarf", p1, ref_grid)).normalized()
-    T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, scarf_p), ref_grid)
-    assert residual_norm(T, psi, 5.0) < 1e-3
-
-
-def test_apply_a_plus_needs_enough_points():
-    grid = Grid(-1.0, 1.0, 5)
-    f = SampledFunction(grid, np.ones(5))
-    with pytest.raises(GridTooCoarseError):
-        apply_a_plus("oscillator", ParameterPoint(1.0), f)
-
-
 @pytest.mark.parametrize("n,energy", [(0, 0.0), (1, 5.0), (2, 8.0)])
 def test_ladder_states_scarf(ref_grid, scarf_p, n, energy):
     psi = excited_state_by_ladder("scarf", scarf_p, n, ref_grid)
@@ -220,6 +188,23 @@ def test_ladder_oscillator_second_level(ref_grid):
         lambda x: potential_minus("oscillator", x, ParameterPoint(1.0)), ref_grid
     )
     assert residual_norm(T, psi, 4.0) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "model_id,p,n,grid,lobes",
+    [
+        # ψ₀ underflows one point from its peak (e^-5000) where ψ₁ lives
+        ("poschl_teller", ParameterPoint(1e8), 1, Grid(-0.05, 0.05, 11), (4, 6)),
+        # x³¹ overflows at the box edge where ψ₀ is long dead
+        ("oscillator", ParameterPoint(1.0), 31, Grid(-1e12, 1e12, 5), (1, 3)),
+    ],
+)
+def test_ladder_state_beyond_double_range(model_id, p, n, grid, lobes):
+    # the odd state's exact samples: ±1/√(2h) on the two points beside its node
+    psi = excited_state_by_ladder(model_id, p, n, grid)
+    exact = np.zeros(grid.n_points)
+    exact[list(lobes)] = np.array([1.0, -1.0]) / np.sqrt(2.0 * grid.h)
+    assert np.allclose(psi.values, exact, rtol=1e-12, atol=0.0)
 
 
 def test_ladder_out_of_range(ref_grid, scarf_p):
@@ -260,13 +245,29 @@ def test_morse_ladder_state():
     assert residual_norm(T, psi, 5.0) < 1e-3
 
 
+# boxes that hold the n = 4 state, so the residual's Dirichlet term is not the box
+_HOLDING_BOX = {"oscillator": (-20.0, 20.0), "morse": (-6.0, 40.0),
+                "poschl_teller": (-20.0, 20.0), "scarf": (-40.0, 40.0)}
+
+
 @pytest.mark.parametrize(
-    "model_id,p", [("oscillator", ParameterPoint(1.0)), ("morse", ParameterPoint(5.0, {"B": 1.0}))]
+    "model_id,p",
+    [
+        ("oscillator", ParameterPoint(1.0)),
+        ("morse", ParameterPoint(5.0, {"B": 1.0})),
+        ("poschl_teller", ParameterPoint(6.0)),
+        ("scarf", ParameterPoint(5.0, {"B": 1.0})),
+    ],
 )
 def test_ladder_node_count_on_fine_grid(model_id, p):
-    # the n = 4 states once counted 8 (oscillator) and 28 (morse) sign changes
-    # here, from quadrature noise in the ground state that the raising chain
-    # amplified; only the node count is pinned, since the ladder residual
-    # still grows under refinement
+    # a chain that differentiates on the grid amplifies roundoff as h shrinks:
+    # spurious nodes on the default box, a residual that grows with refinement
     psi = excited_state_by_ladder(model_id, p, 4, model_grid(model_id, 64001))
     assert node_count(psi) == 4
+    energy = closed_form_energy(model_id, p, 4)
+    residuals = []
+    for n_points in (4001, 16001, 64001):
+        grid = Grid(*_HOLDING_BOX[model_id], n_points)
+        T = discretize_hamiltonian(lambda x: potential_minus(model_id, x, p), grid)
+        residuals.append(residual_norm(T, excited_state_by_ladder(model_id, p, 4, grid), energy))
+    assert residuals[0] >= residuals[1] >= residuals[2]
