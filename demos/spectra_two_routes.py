@@ -14,10 +14,8 @@ from sips import (
     Grid,
     ParameterPoint,
     algebra_spectrum,
-    discretize_hamiltonian,
     list_models,
-    lowest_eigenvalues,
-    potential_minus,
+    spectrum,
     spectrum_by_shape_invariance,
     verify_shape_invariance,
 )
@@ -47,8 +45,7 @@ print(f"  max discrepancy between routes: "
       f"{np.max(np.abs(spec.energies - alg.energies)):.2e}")
 
 print("\n== referee: finite-difference eigensolver ==")
-T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), grid)
-numeric = lowest_eigenvalues(T, 3)
+numeric = spectrum("scarf", p, grid, 3)
 for n, (analytic, num) in enumerate(zip(spec.energies, numeric)):
     print(f"  level {n}: analytic {analytic:8.5f}   numeric {num:8.5f}   "
           f"|diff| {abs(analytic - num):.2e}")

@@ -23,7 +23,7 @@ from sips import (
     residual_norm,
     shift_params,
 )
-from sips.export import wavefunction_csv_text
+from sips.export import wavefunction_csv_chunks
 
 grid = Grid(-20.0, 20.0, 4001)
 p = ParameterPoint(3.0, {"B": 1.0})
@@ -48,5 +48,5 @@ for n, psi in states.items():
 
 out = "scarf_psi1.csv"
 with open(out, "w") as handle:
-    handle.write(wavefunction_csv_text(states[1], {"model": "scarf", "n": 1, "energy": 5.0}))
+    handle.writelines(wavefunction_csv_chunks(states[1], {"model": "scarf", "n": 1, "energy": 5.0}))
 print(f"\nwrote {out} (two columns: x, psi)")

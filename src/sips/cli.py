@@ -11,6 +11,10 @@ library uses too, and verify's --levels defaults to min(bound states, 5).
 region-grid cell counts above MAX_POINTS, are rejected, so no input can ask
 for unbounded work. A --tol that is not a finite number > 0 is rejected too.
 
+Each cmd_* function computes and writes nothing: it returns (exit code,
+JSON document, text), and main writes the document for --format json and
+the text otherwise, both through _emit.
+
 Each command imports the library modules it uses when it runs, so the module
 itself loads only the standard library: `reps classify` and `reps enumerate`
 never import numpy, and only `verify` imports scipy (inside the referee).
@@ -21,7 +25,6 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
-import json
 import math
 import os
 import sys
@@ -34,7 +37,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .catalog import ParameterPoint
-    from .grids import Grid, SampledFunction
+    from .grids import Grid
 
 ROUTE_AGREEMENT_TOL = 1e-9
 # Largest --levels, --n or --count accepted; each asks for work in proportion.
@@ -145,24 +148,20 @@ def _emit(text, out: str | None) -> None:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_list(args) -> int:
+def cmd_list(args) -> tuple:
     from . import catalog
 
     models = catalog.list_models()
-    if args.format == "json":
-        _emit(json.dumps(models, indent=2), args.out)
-        return 0
     lines = [f"{'id':<14} {'params':<8} {'domain':<10} {'step':>5}  validity"]
     for m in models:
         lines.append(
             f"{m['id']:<14} {','.join(m['param_names']):<8} "
             f"{m['domain']:<10} {m['param_step']:>5}  {m['validity']}"
         )
-    _emit("\n".join(lines), args.out)
-    return 0
+    return 0, models, "\n".join(lines)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple:
     import numpy as np
 
     from . import algebra as alg
@@ -200,11 +199,10 @@ def cmd_spectrum(args) -> int:
         if discrepancy > ROUTE_AGREEMENT_TOL:
             lines.append(f"ROUTE DISAGREEMENT beyond {ROUTE_AGREEMENT_TOL}")
             exit_code = 1
-    _emit(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines), args.out)
-    return exit_code
+    return exit_code, payload, "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from . import catalog, export, oracle, susy
     from .catalog import get_model
 
@@ -232,25 +230,21 @@ def cmd_verify(args) -> int:
         "spectrum": comparison.to_dict(),
         "passed": passed,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [
-            f"model {model.id}  params {p.as_dict()}",
-            f"shape-invariance max residual: {si_report.max_residual:.3e}, "
-            f"{si_report.max_excess:.3e} over its rounding floor "
-            f"({'ok' if si_ok else 'FAIL'} at tol {tol:g})",
-            f"spectrum analytic: {export.format_energies(comparison.analytic)}",
-            f"spectrum numeric:  {export.format_energies(comparison.numeric)}",
-            f"max |diff|: {comparison.max_abs_diff:.3e} at level {comparison.worst_level} "
-            f"({'ok' if comparison.passed else 'FAIL'} at tol {tol:g})",
-            "PASS" if passed else "FAIL",
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0 if passed else 1
+    lines = [
+        f"model {model.id}  params {p.as_dict()}",
+        f"shape-invariance max residual: {si_report.max_residual:.3e}, "
+        f"{si_report.max_excess:.3e} over its rounding floor "
+        f"({'ok' if si_ok else 'FAIL'} at tol {tol:g})",
+        f"spectrum analytic: {export.format_energies(comparison.analytic)}",
+        f"spectrum numeric:  {export.format_energies(comparison.numeric)}",
+        f"max |diff|: {comparison.max_abs_diff:.3e} at level {comparison.worst_level} "
+        f"({'ok' if comparison.passed else 'FAIL'} at tol {tol:g})",
+        "PASS" if passed else "FAIL",
+    ]
+    return 0 if passed else 1, payload, "\n".join(lines)
 
 
-def cmd_wavefunction(args) -> int:
+def cmd_wavefunction(args) -> tuple:
     from . import catalog, export, oracle, susy
     from .catalog import get_model
     from .grids import node_count
@@ -264,48 +258,26 @@ def cmd_wavefunction(args) -> int:
     T = oracle.discretize_hamiltonian(
         lambda x: catalog.potential_minus(model, x, p), grid
     )
-    residual = oracle.residual_norm(T, psi, energy)
-    nodes = node_count(psi)
     metadata = {
         "model": model.id,
         "params": p.as_dict(),
         "n": n,
         "energy": energy,
-        "node_count": nodes,
-        "oracle_residual": residual,
+        "node_count": node_count(psi),
+        "oracle_residual": oracle.residual_norm(T, psi, energy),
     }
+    # the record's values list is built only when it is written
     if args.format == "json":
-        record = export.wavefunction_record(
-            model.id, p.as_dict(), n, energy, psi,
-            node_count=nodes, oracle_residual=residual,
-        )
-        _emit(export.json_chunks(record), args.out)
-    else:
-        _emit(export.wavefunction_csv_chunks(psi, metadata), args.out)
-    return 0
+        return 0, export.wavefunction_record(psi=psi, **metadata), None
+    return 0, None, export.wavefunction_csv_chunks(psi, metadata)
 
 
-_TEST_FUNCTIONS = ("gaussian", "odd_gaussian", "offset_gaussian")
-
-
-def _test_function(name: str, grid: Grid) -> SampledFunction:
+def cmd_algebra_check(args) -> tuple:
     import numpy as np
 
-    from .grids import SampledFunction
-
-    x = grid.x
-    if name == "gaussian":
-        return SampledFunction(grid, np.exp(-(x**2)))
-    if name == "odd_gaussian":
-        return SampledFunction(grid, x * np.exp(-(x**2)))
-    if name == "offset_gaussian":
-        return SampledFunction(grid, np.exp(-((x - 1.0) ** 2) / 2.0))
-    raise ValueError(f"unknown test function {name!r}")
-
-
-def cmd_algebra_check(args) -> int:
     from . import algebra as alg
     from .catalog import get_model
+    from .grids import SampledFunction
 
     model = get_model(args.model)
     m, tol = args.m, args.tol
@@ -313,10 +285,16 @@ def cmd_algebra_check(args) -> int:
     # a is fixed by the sector index; --params only supplies auxiliaries here
     aux_p = parse_params(model, args.params, default_a=m - 0.5) if args.params else None
 
+    x = grid.x
+    test_functions = {
+        "gaussian": np.exp(-(x**2)),
+        "odd_gaussian": x * np.exp(-(x**2)),
+        "offset_gaussian": np.exp(-((x - 1.0) ** 2) / 2.0),
+    }
     worst = 0.0
     reports = []
-    for name in _TEST_FUNCTIONS:
-        sector = alg.SectorFunction(m, _test_function(name, grid))
+    for name, values in test_functions.items():
+        sector = alg.SectorFunction(m, SampledFunction(grid, values))
         # closure first: it rejects a test function that vanishes on the grid,
         # which the j3 residual would divide by
         closure = alg.closure_residual(model, sector, aux_p)
@@ -339,23 +317,19 @@ def cmd_algebra_check(args) -> int:
         "worst_residual": worst,
         "passed": worst < tol,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"model {model.id}  m={m:g}"]
-        for report in reports:
-            res = report["residuals"]
-            lines.append(
-                f"  {report['test_function']:<16} closure={res['closure']:.3e} "
-                f"j3=({res['j3_commutator_plus']:.1e}, {res['j3_commutator_minus']:.1e}) "
-                f"products=({res['product_plus_minus']:.3e}, {res['product_minus_plus']:.3e})"
-            )
-        lines.append(f"worst residual {worst:.3e} ({'ok' if worst < tol else 'FAIL'} at tol {tol:g})")
-        _emit("\n".join(lines), args.out)
-    return 0 if worst < tol else 1
+    lines = [f"model {model.id}  m={m:g}"]
+    for report in reports:
+        res = report["residuals"]
+        lines.append(
+            f"  {report['test_function']:<16} closure={res['closure']:.3e} "
+            f"j3=({res['j3_commutator_plus']:.1e}, {res['j3_commutator_minus']:.1e}) "
+            f"products=({res['product_plus_minus']:.3e}, {res['product_minus_plus']:.3e})"
+        )
+    lines.append(f"worst residual {worst:.3e} ({'ok' if worst < tol else 'FAIL'} at tol {tol:g})")
+    return 0 if worst < tol else 1, payload, "\n".join(lines)
 
 
-def cmd_reps_classify(args) -> int:
+def cmd_reps_classify(args) -> tuple:
     from . import unireps
 
     label = unireps.classify(args.j, args.m0)
@@ -366,14 +340,10 @@ def cmd_reps_classify(args) -> int:
         "casimir": label.casimir,
         "band_convention": "supplementary band uses -1/2 < m0 < 1/2, strict",
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(label.rep_class.value, args.out)
-    return 0
+    return 0, payload, label.rep_class.value
 
 
-def cmd_reps_enumerate(args) -> int:
+def cmd_reps_enumerate(args) -> tuple:
     from . import unireps
 
     label = unireps.classify(args.j, args.m0)
@@ -389,18 +359,13 @@ def cmd_reps_enumerate(args) -> int:
         "casimir": multiplet.casimir,
         "m_values": multiplet.m_values,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(
-            f"{label.rep_class.value} (j={label.j:g}, m0={label.m0:g}): "
-            + " ".join(f"{m:g}" for m in multiplet.m_values),
-            args.out,
-        )
-    return 0
+    text = f"{label.rep_class.value} (j={label.j:g}, m0={label.m0:g}): " + " ".join(
+        f"{m:g}" for m in multiplet.m_values
+    )
+    return 0, payload, text
 
 
-def cmd_reps_region_grid(args) -> int:
+def cmd_reps_region_grid(args) -> tuple:
     import numpy as np
 
     from . import unireps
@@ -420,8 +385,7 @@ def cmd_reps_region_grid(args) -> int:
         f"{j:.6g}," + f"\n{j:.6g},".join(cells[row_codes, columns].tolist()) + "\n"
         for j, row_codes in zip(j_values.tolist(), codes)
     )
-    _emit(itertools.chain(["j,m,region\n"], rows), args.out)
-    return 0
+    return 0, None, itertools.chain(["j,m,region\n"], rows)
 
 
 # ------------------------------------------------------------------ parser
@@ -572,7 +536,13 @@ def main(argv=None) -> int:
         # floating-point warnings (RuntimeWarning) are noise
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return args.func(args)
+            code, document, text = args.func(args)
+            if getattr(args, "format", None) == "json":
+                from .export import json_chunks
+
+                text = json_chunks(document)
+            _emit(text, args.out)
+        return code
     except _USAGE_ERRORS as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -29,10 +29,7 @@ __all__ = [
     "atomic_write_text",
     "wavefunction_record",
     "wavefunction_csv_chunks",
-    "wavefunction_csv_text",
     "json_chunks",
-    "write_json",
-    "read_json",
     "format_energies",
 ]
 
@@ -105,7 +102,7 @@ def _umask() -> int:
 
 
 def wavefunction_record(
-    model_id: str,
+    model: str,
     params: dict,
     n: int,
     energy: float,
@@ -114,7 +111,7 @@ def wavefunction_record(
 ) -> dict:
     """JSON-ready record {model, params, n, energy, grid, values, ...}."""
     return {
-        "model": model_id,
+        "model": model,
         "params": params,
         "n": n,
         "energy": energy,
@@ -142,19 +139,14 @@ def wavefunction_csv_chunks(psi: SampledFunction, metadata: dict | None = None) 
         yield ("%.12g,%.12g\n" * (len(rows) // 2)) % tuple(rows.tolist())
 
 
-def wavefunction_csv_text(psi: SampledFunction, metadata: dict | None = None) -> str:
-    """The text of wavefunction_csv_chunks as one str."""
-    return "".join(wavefunction_csv_chunks(psi, metadata))
-
-
 _ITEM = ",\n    "  # between the items of a top-level list in indent-2 JSON
 
 
-def json_chunks(payload: dict) -> Iterator[str]:
+def json_chunks(payload: dict | list) -> Iterator[str]:
     """json.dumps(payload, indent=2) + "\\n" in chunks. A top-level "values"
     list of floats is written CHUNK items at a time with float.__repr__, the
     text the indent-2 encoder gives each of them, at C speed."""
-    values = payload.get("values")
+    values = payload.get("values") if isinstance(payload, dict) else None
     if not (isinstance(values, list) and values and set(map(type, values)) == {float}):
         yield json.dumps(payload, indent=2) + "\n"
         return
@@ -168,15 +160,6 @@ def json_chunks(payload: dict) -> Iterator[str]:
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
         yield text if start == 0 else _ITEM + text
     yield "\n  ]" + tail + "\n"
-
-
-def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, TextChunks(json_chunks(payload)))
-
-
-def read_json(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
 
 
 def format_energies(energies) -> str:

@@ -23,10 +23,13 @@ class Grid:
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError(f"need at least 3 points, got {self.n_points}")
-        # a finite h² (the stencils divide by it) implies finite bounds
-        if not (self.x_min < self.x_max and np.isfinite(self.h * self.h)):
+        # the stencils divide by h², so h² and 1/h² must be finite; a finite h²
+        # implies finite bounds
+        h2 = self.h * self.h
+        if not (self.x_min < self.x_max and np.isfinite(h2) and h2 > 0.0 and np.isfinite(1.0 / h2)):
             raise ValueError(
-                f"need finite x_min < x_max and h² finite, got [{self.x_min}, {self.x_max}], h={self.h}"
+                f"need finite x_min < x_max and finite h² and 1/h², got "
+                f"[{self.x_min}, {self.x_max}], h={self.h}"
             )
 
     @property
@@ -100,16 +103,20 @@ def derivative(values: NDArray[np.float64], h: float) -> NDArray[np.float64]:
     return out
 
 
-def node_count(f: SampledFunction, threshold: float = 1e-8) -> int:
+# Relative size below which node_count ignores a value.
+_NODE_THRESHOLD = 1e-8
+
+
+def node_count(f: SampledFunction) -> int:
     """Number of strict sign changes among values above a relative threshold.
 
-    Values with ``|value| <= threshold * max|f|`` are ignored so that numerical
-    noise in the exponential tails does not register as nodes.
+    Values with ``|value| <= _NODE_THRESHOLD * max|f|`` are ignored so that
+    numerical noise in the exponential tails does not register as nodes.
     """
     vals = f.values
     peak = np.max(np.abs(vals))
     if peak == 0.0:
         return 0
-    significant = vals[np.abs(vals) > threshold * peak]
+    significant = vals[np.abs(vals) > _NODE_THRESHOLD * peak]
     signs = np.sign(significant)
     return int(np.sum(signs[1:] * signs[:-1] < 0))

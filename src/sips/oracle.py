@@ -197,8 +197,10 @@ def residual_norm(T: TridiagonalOperator, psi: SampledFunction, E: float) -> flo
     if psi.grid != T.grid:
         raise ValueError("wavefunction grid does not match operator grid")
     v = psi.values[1:-1]
-    r = T.apply(v) - E * v
-    return float(np.linalg.norm(r) / np.linalg.norm(v))
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError("wavefunction is zero at every interior grid point")
+    return float(np.linalg.norm(T.apply(v) - E * v) / norm)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from sips import (
 )
 from sips import cli
 from sips.cli import MAX_COUNT, MAX_POINTS, main, parse_grid_spec, parse_params, parse_range_spec
-from sips.export import CHUNK, atomic_write_text, json_chunks, read_json, wavefunction_record
+from sips.export import CHUNK, atomic_write_text, json_chunks, wavefunction_record
 
 
 def run(capsys, *argv):
@@ -254,7 +254,7 @@ def test_verify_json_roundtrip(tmp_path, capsys):
         "--format", "json", "--out", str(out_path),
     )
     assert code == 0
-    payload = read_json(str(out_path))
+    payload = json.loads(out_path.read_text())
     assert payload["passed"] is True
     # re-running the comparison from the serialized energies reproduces the verdict
     report = compare_spectra(
@@ -1081,14 +1081,13 @@ def test_cli_total_over_argv_grammar(tmp_path_factory, argv, out):
 
 def test_export_json_roundtrip(tmp_path):
     from sips import Grid, ParameterPoint, excited_state_by_ladder
-    from sips.export import wavefunction_record, write_json
 
     grid = Grid(-15.0, 15.0, 801)
     psi = excited_state_by_ladder("scarf", ParameterPoint(3.0, {"B": 1.0}), 1, grid)
     record = wavefunction_record("scarf", {"a": 3.0, "B": 1.0}, 1, 5.0, psi)
     path = tmp_path / "psi.json"
-    write_json(str(path), record)
-    loaded = read_json(str(path))
+    atomic_write_text(str(path), json_chunks(record))
+    loaded = json.loads(path.read_text())
     assert loaded["energy"] == 5.0
     assert loaded["grid"]["n_points"] == 801
     assert np.allclose(loaded["values"], psi.values)
@@ -1099,3 +1098,47 @@ def test_spectrum_deterministic_output(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["verify", "wavefunction"])
+@pytest.mark.parametrize("grid", ["0:1e-300:5", "0:1e-160:5"])
+def test_underflowing_grid_spacing_is_usage_error(capsys, command, grid):
+    # h² underflows to zero or a subnormal: 1/h² is not finite
+    argv = [command, "--model", "scarf", "--params", "a=3,B=1", "--grid", grid]
+    code, out, err = run(capsys, *argv, *(["--n", "1"] if command == "wavefunction" else []))
+    usage_error(code, out, err)
+    assert "finite" in err
+
+
+def test_wavefunction_zero_inside_grid_is_usage_error(capsys):
+    # psi_1 vanishes at the one interior node, where the residual would be 0/0
+    code, out, err = run(
+        capsys, "wavefunction", "--model", "oscillator", "--n", "1", "--grid", "-1:1:3",
+        "--format", "json",
+    )
+    usage_error(code, out, err)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list"],
+        ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both"],
+        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
+        ["wavefunction", "--model", "scarf", "--params", "a=3,B=1", "--n", "1", "--grid", "-20:20:801"],
+        ["algebra", "check", "--model", "scarf", "--m", "3.5", "--grid", "-15:15:801"],
+        ["reps", "classify", "--j", "-1.5", "--m0", "1.5"],
+        ["reps", "enumerate", "--j", "-1.5", "--m0", "1.5", "--count", "4"],
+    ],
+    ids=["list", "spectrum", "verify", "wavefunction", "algebra-check",
+         "reps-classify", "reps-enumerate"],
+)
+def test_json_reports_are_strict_json(capsys, argv):
+    # RFC 8259 has no NaN or Infinity; json.loads accepts them unless told not to
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    json.loads(out, parse_constant=_reject_constant)

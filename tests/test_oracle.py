@@ -107,6 +107,14 @@ def test_wrong_energy_residual_is_order_one(ref_grid):
     assert residual_norm(T, psi, energies[0] + 1.0) == pytest.approx(1.0, abs=1e-2)
 
 
+def test_residual_of_state_zero_inside_rejected():
+    # the one interior node of a 3-point grid sits on the node of psi_1
+    grid = Grid(-1.0, 1.0, 3)
+    T = discretize_hamiltonian(lambda x: x**2, grid)
+    with pytest.raises(ValueError, match="zero at every interior"):
+        residual_norm(T, SampledFunction(grid, [1.0, 0.0, -1.0]), 3.0)
+
+
 def test_grid_mismatch_rejected(ref_grid):
     T = discretize_hamiltonian(lambda x: np.zeros_like(x), ref_grid)
     other = SampledFunction(Grid(-20.0, 20.0, 801), np.ones(801))
@@ -123,9 +131,12 @@ def test_eigenvector_matches_gaussian(ref_grid):
     assert np.max(np.abs(psi.values - exact)) < 1e-4
 
 
-@pytest.mark.parametrize("bounds", [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)])
+@pytest.mark.parametrize(
+    "bounds", [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308), (0.0, 1e-300), (0.0, 1e-160)]
+)
 def test_grid_must_be_finite(bounds):
-    # the last pair is finite, but its spacing overflows
+    # (-1e308, 1e308) is finite, but its spacing overflows; on the last two
+    # h² underflows to zero or a subnormal, so 1/h² overflows
     with pytest.raises(ValueError, match="finite"):
         Grid(*bounds, 11)
 
