@@ -7,9 +7,12 @@ reps {classify, enumerate, region-grid}. Exit codes: 0 success,
 Every default is an argparse default, except two that depend on the model:
 without --grid a command runs on catalog.default_grid(model), the grid the
 library uses too, and verify's --levels defaults to min(bound states, 5).
---levels, --n and --count above MAX_COUNT, and --grid point counts and
-region-grid cell counts above MAX_POINTS, are rejected, so no input can ask
-for unbounded work. A --tol that is not a finite number > 0 is rejected too.
+--levels, --n and --count above MAX_COUNT, --grid point counts and
+region-grid cell counts above MAX_POINTS, and a verify whose levels times
+grid points exceed MAX_LEVEL_POINTS are rejected, so no input can ask for
+unbounded work. A --tol that is not a finite number > 0 is rejected too, and
+so is a result that overflows: a report holding inf or nan is no JSON, so
+main exits 2 naming the field instead, whatever the format.
 
 Each cmd_* function computes and writes nothing: it returns (exit code,
 JSON document, text), and main writes the document for --format json and
@@ -44,6 +47,10 @@ ROUTE_AGREEMENT_TOL = 1e-9
 MAX_COUNT = 10_000
 # Largest --grid point count or reps region-grid cell count (j count × m count).
 MAX_POINTS = 1_000_000
+# Largest verify levels × grid points: the referee's work grows as their
+# product, about 0.3 µs each on a 2-core host, so the largest accepted verify
+# takes seconds (at the other limits it would take most of an hour).
+MAX_LEVEL_POINTS = 20_000_000
 
 _USAGE_ERRORS = (SipsError, KeyError, ValueError)
 
@@ -115,6 +122,22 @@ def _grid(args, model) -> Grid:
     from . import catalog
 
     return catalog.default_grid(model) if args.grid is None else parse_grid_spec(args.grid)
+
+
+def _require_finite(value, path: str = "") -> None:
+    """Raise ValueError naming the first field of a report that holds an inf
+    or nan, which JSON cannot carry. A wavefunction record's ``values`` are
+    skipped: SampledFunction keeps them finite."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"report field {path} is {value}, not a finite number")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if path or key != "values":
+                _require_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
 
 
 def _emit(text, out: str | None) -> None:
@@ -212,6 +235,11 @@ def cmd_verify(args) -> tuple:
     tol = args.tol
     n_bound = catalog.max_bound_states(model, p)
     levels = min(5 if args.levels is None else args.levels, n_bound)
+    if levels * grid.n_points > MAX_LEVEL_POINTS:
+        raise ValueError(
+            f"verify of {levels} levels on {grid.n_points} points exceeds the limit of "
+            f"{MAX_LEVEL_POINTS} levels × points"
+        )
 
     k_max = min(3, n_bound - 1)
     si_report = susy.verify_shape_invariance(model, p, grid, k_max=k_max)
@@ -537,6 +565,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, document, text = args.func(args)
+            _require_finite(document)
             if getattr(args, "format", None) == "json":
                 from .export import json_chunks
 

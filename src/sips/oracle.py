@@ -4,7 +4,10 @@ This is the numerical referee for every analytic claim in the package, so it
 deliberately shares nothing with the analytic machinery: second-order central
 differences (the ladder takes no derivative), Dirichlet walls at
 the box edges, and LAPACK's tridiagonal bisection (stebz) and inverse
-iteration (stein) for eigenpairs. ``spectrum`` bisects each level only as far
+iteration (stein) for eigenpairs. ``lowest_eigenvalues`` splits an operator
+that is symmetric about its centre (an even potential on a centred box) into
+its even and odd halves, two problems of half the size. ``spectrum`` bisects
+each level only as far
 as the verdict needs, to 1e-3·min(tol, 1e-3) in energy units (LAPACK's
 ABSTOL), and certifies that a grid holds the requested levels from the eigenvalues stebz
 returns, with a margin of that ABSTOL plus 8·eps·‖T‖₁. ``sturm_count``, a
@@ -108,6 +111,15 @@ def lowest_eigenvalues(
 
     ``abstol`` is stebz's ABSTOL, the width in energy units to which each
     eigenvalue is bisected; 0.0 keeps LAPACK's default, eps·‖T‖₁.
+
+    A T symmetric about its centre (persymmetric: a parity-symmetric
+    potential on a box centred on its well) is solved as its even and odd
+    blocks, two tridiagonals of about half its size (Cantoni and Butler,
+    Linear Algebra Appl. 13 (1976) 275), so each level is bisected on about
+    half the nodes. Each is still bisected to ``abstol``, so it may differ
+    from a single solve of the whole T by up to that, plus at most eps·‖T‖₁
+    (``_persymmetric_halves``).
+    Any other T gets the single solve.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -115,9 +127,56 @@ def lowest_eigenvalues(
         raise ValueError(f"requested {k} eigenvalues from a {T.size}-point operator")
     from scipy.linalg import eigvalsh_tridiagonal  # loaded only when the referee runs
 
-    return eigvalsh_tridiagonal(
-        T.diag, T.off, select="i", select_range=(0, k - 1), tol=abstol
-    )
+    halves = _persymmetric_halves(T)
+    if halves is None:
+        return eigvalsh_tridiagonal(
+            T.diag, T.off, select="i", select_range=(0, k - 1), tol=abstol
+        )
+    # The odd block is a leading principal submatrix of the even one (odd
+    # size), or the even block plus a positive rank-one term (even size), so
+    # by Cauchy interlacing the levels alternate even, odd, even, ...: the k
+    # lowest are the ⌈k/2⌉ lowest even ones and the ⌊k/2⌋ lowest odd ones.
+    levels = [
+        eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), tol=abstol)
+        for (diag, off), count in zip(halves, ((k + 1) // 2, k // 2))
+        if count
+    ]
+    return np.sort(np.concatenate(levels))
+
+
+def _persymmetric_halves(T: TridiagonalOperator):
+    """The even and odd blocks of a persymmetric T, each a (diag, off) pair,
+    or None when T is not persymmetric.
+
+    T counts as persymmetric when ``|off|`` is a palindrome and ``diag`` is one
+    to within 2·eps·‖T‖₁ (bounded, as in ``spectrum``, by max|diag| +
+    2·max|off|); ``diag`` is then replaced by its average with its mirror
+    image, which moves each level by at most eps·‖T‖₁ (Weyl). Replacing
+    ``off`` by -|off|, a ±1 similarity, keeps the spectrum and the symmetry;
+    then the vectors even about the centre see, for an odd size with centre
+    node m, ``diag[:m + 1]`` with the bond to the centre scaled by √2, and the
+    odd ones, zero at the centre, the leading m×m block. For an even size 2m
+    the centre bond -|c| is added to the last entry of ``diag[:m]`` for the
+    even block and subtracted for the odd one. Off-diagonal signs do not
+    change a tridiagonal's spectrum, so the blocks keep |off|.
+    """
+    diag, off = T.diag, np.abs(T.off)
+    mirror = diag[::-1]
+    norm = np.abs(diag).max() + 2.0 * off.max(initial=0.0)
+    palindrome = np.abs(diag - mirror).max() <= 2.0 * np.finfo(float).eps * norm
+    if not (palindrome and np.array_equal(off, off[::-1])):
+        return None
+    diag = 0.5 * (diag + mirror)
+    m = diag.size // 2
+    if diag.size % 2:
+        even_off = off[:m].copy()
+        even_off[-1:] *= np.sqrt(2.0)  # the bond to the centre (none if n = 1)
+        return (diag[: m + 1], even_off), (diag[:m], off[: m - 1])
+    centre = off[m - 1]
+    even_diag, odd_diag = diag[:m].copy(), diag[:m].copy()
+    even_diag[-1] -= centre
+    odd_diag[-1] += centre
+    return (even_diag, off[: m - 1]), (odd_diag, off[: m - 1])
 
 
 def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
@@ -173,9 +232,11 @@ def spectrum(
     # its midpoint, at most ABSTOL/2 + eps·‖T‖₁ from the eigenvalue its
     # Sturm counts see (|λ| ≤ ‖T‖₁); those counts are exact for T with
     # off-diagonals perturbed by a few eps (Kahan), another ~2.5·eps·‖T‖₁.
+    # A persymmetric T is solved as the halves of its symmetrization
+    # (lowest_eigenvalues), whose levels lie within eps·‖T‖₁ of T's (Weyl).
     # A steep wall makes the eps terms larger than the levels themselves
     # (morse on [-20, 20]: ‖T‖₁ ≈ 2e17). A k-th eigenvalue below the edge by
-    # ABSTOL + 8·eps·‖T‖₁, over twice the sum, certifies the grid; otherwise
+    # ABSTOL + 8·eps·‖T‖₁, nearly twice the sum, certifies the grid; otherwise
     # the Sturm count, O(N), decides and gives the error its level count.
     norm = np.max(np.abs(T.diag)) + 2.0 / grid.h**2
     margin = abstol + 8.0 * np.finfo(float).eps * norm

@@ -29,7 +29,15 @@ from sips import (
     residual_norm,
 )
 from sips import cli
-from sips.cli import MAX_COUNT, MAX_POINTS, main, parse_grid_spec, parse_params, parse_range_spec
+from sips.cli import (
+    MAX_COUNT,
+    MAX_LEVEL_POINTS,
+    MAX_POINTS,
+    main,
+    parse_grid_spec,
+    parse_params,
+    parse_range_spec,
+)
 from sips.export import CHUNK, atomic_write_text, json_chunks, wavefunction_record
 
 
@@ -870,6 +878,27 @@ def test_sizes_above_point_limit_rejected(capsys, no_oversized_arrays, argv):
     assert "limit" in err
 
 
+def test_verify_work_above_limit_rejected(capsys):
+    # 600 levels × 60001 points = 3.6·10⁷: seconds of bisection, refused unsolved
+    code, out, err = run(
+        capsys, "verify", "--model", "poschl_teller", "--params", "a=600", "--levels", "600",
+        "--grid", "-20:20:60001",
+    )
+    usage_error(code, out, err)
+    assert err == (
+        f"error: verify of 600 levels on 60001 points exceeds the limit of "
+        f"{MAX_LEVEL_POINTS} levels × points\n"
+    )
+
+
+@pytest.mark.parametrize("limit,code", [(3 * 4001, 0), (3 * 4001 - 1, 2)])
+def test_verify_work_limit_counts_levels_solved(capsys, monkeypatch, limit, code):
+    # --levels 100 asks for more levels than scarf a=3 has: 3 are solved
+    monkeypatch.setattr(cli, "MAX_LEVEL_POINTS", limit)
+    argv = ["verify", "--model", "scarf", "--params", "a=3,B=1", "--levels", "100"]
+    assert run(capsys, *argv)[0] == code
+
+
 def test_sizes_at_point_limit_accepted():
     assert parse_grid_spec(f"-20:20:{MAX_POINTS}").n_points == MAX_POINTS
     assert parse_range_spec(f"0:{MAX_POINTS - 1}:1").size == MAX_POINTS
@@ -1142,3 +1171,23 @@ def test_json_reports_are_strict_json(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["algebra", "check", "--model", "scarf", "--m", "1e150"],
+         "checks[0].residuals.j3_commutator_plus"),
+        (["spectrum", "--model", "morse", "--params", "a=1e308,B=1e308"],
+         "shape_invariance.energies[1]"),
+        (["reps", "classify", "--j", "1e308", "--m0", "1e308"], "casimir"),
+    ],
+    ids=["algebra-check", "spectrum", "reps-classify"],
+)
+def test_overflowing_report_is_usage_error(capsys, argv, field, fmt):
+    # accepted inputs whose results overflow: JSON has no Infinity, so each
+    # format exits 2 with one line that names the field, and writes nothing
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    usage_error(code, out, err)
+    assert err == f"error: report field {field} is inf, not a finite number\n"

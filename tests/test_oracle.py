@@ -6,6 +6,7 @@ from sips import (
     GridTooCoarseError,
     ParameterPoint,
     SampledFunction,
+    TridiagonalOperator,
     compare_spectra,
     discretize_hamiltonian,
     eigenvector,
@@ -148,6 +149,91 @@ def test_spectrum_rejects_unresolved_well():
         spectrum("poschl_teller", ParameterPoint(1e9), default_grid("poschl_teller"), 3)
 
 
+def _single_solve(T, k, abstol=0.0):
+    # one stebz call on the whole of T: the reference for the split solve
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return eigvalsh_tridiagonal(T.diag, T.off, select="i", select_range=(0, k - 1), tol=abstol)
+
+
+@pytest.fixture
+def stebz_sizes(monkeypatch):
+    # the size of every tridiagonal the referee hands to stebz
+    import scipy.linalg
+
+    solve = scipy.linalg.eigvalsh_tridiagonal
+    sizes = []
+
+    def recorded(diag, off, **kwargs):
+        sizes.append(len(diag))
+        return solve(diag, off, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", recorded)
+    return sizes
+
+
+def test_persymmetric_split_matches_dense_solve(stebz_sizes):
+    # mirror-symmetric T of every size 1..13, with off-diagonals of either
+    # sign and zeros (which cut T into blocks), against a dense solve
+    rng = np.random.default_rng(1976)
+    eps = np.finfo(float).eps
+    for n in range(1, 14):
+        for _ in range(20):
+            half = rng.normal(size=(n + 1) // 2)
+            diag = np.concatenate([half, half[: n // 2][::-1]])
+            bonds = rng.uniform(0.5, 2.0, n - 1) * rng.choice([0.0, 1.0], n - 1, p=[0.25, 0.75])
+            i = np.arange(n - 1)
+            off = np.where(i <= i[::-1], bonds, bonds[::-1]) * rng.choice([-1.0, 1.0], n - 1)
+            T = TridiagonalOperator(diag, off, Grid(0.0, 1.0, n + 2))
+            exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
+            for k in range(1, n + 1):
+                stebz_sizes.clear()
+                levels = lowest_eigenvalues(T, k)
+                assert max(stebz_sizes) <= (n + 1) // 2
+                assert np.max(np.abs(levels - exact[:k])) <= 8.0 * eps * norm, (n, k)
+
+
+@pytest.mark.parametrize("n_points", [4001, 4000])  # an odd and an even interior count
+@pytest.mark.parametrize(
+    "model,text,k", [("oscillator", None, 32), ("poschl_teller", "a=6", 5), ("scarf", "a=4,B=0", 4)]
+)
+def test_parity_symmetric_levels_match_single_solve(stebz_sizes, model, text, k, n_points):
+    # an even potential on a box centred on its well gives a persymmetric T,
+    # solved as two halves, each level within ABSTOL + eps·‖T‖₁ of the
+    # single solve to LAPACK's most accurate setting
+    p = parse_params(model, text)
+    grid = Grid(-20.0, 20.0, n_points)
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
+    best = _single_solve(T, k, abstol=2.0 * np.finfo(float).tiny)
+    norm = np.max(np.abs(T.diag)) + 2.0 / grid.h**2
+    for tol in (1e-2, 1e-3, 1e-6):
+        stebz_sizes.clear()
+        levels = spectrum(model, p, grid, k, tol)
+        assert max(stebz_sizes) <= (T.size + 1) // 2
+        bound = 1e-3 * min(tol, 1e-3) + np.finfo(float).eps * norm
+        assert np.max(np.abs(levels - best)) <= bound, tol
+
+
+@pytest.mark.parametrize(
+    "model,text,bounds",
+    [
+        ("scarf", "a=3,B=1", (-20.0, 20.0, 4001)),
+        ("morse", "a=3,B=1", (-6.0, 20.0, 4001)),
+        ("poschl_teller", "a=6", (-20.0, 19.5, 4001)),  # an even well off the box centre
+    ],
+)
+def test_asymmetric_operator_gets_single_solve(stebz_sizes, model, text, bounds):
+    p = parse_params(model, text)
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), Grid(*bounds))
+    for k in (1, 2, 3):
+        for abstol in (0.0, 1e-6):
+            expected = _single_solve(T, k, abstol)
+            stebz_sizes.clear()
+            assert np.array_equal(lowest_eigenvalues(T, k, abstol), expected)
+            assert stebz_sizes == [T.size]
+
+
 def _sturm_certified_spectrum(model, p, grid, k, tol=1e-3):
     # Reference certificate: count the levels below the edge with the Sturm
     # sequence first, then check the spacing, then solve to the same ABSTOL.
@@ -223,7 +309,7 @@ def test_levels_are_bisected_to_a_thousandth_of_tol(model):
             except GridTooCoarseError:
                 continue
             certified += 1
-            best = lowest_eigenvalues(T, 3, abstol=2.0 * np.finfo(float).tiny)
+            best = _single_solve(T, 3, abstol=2.0 * np.finfo(float).tiny)
             bound = 1e-3 * min(tol, 1e-3) + np.finfo(float).eps * norm
             assert np.max(np.abs(levels - best)) <= bound, (bounds, tol)
     assert certified >= 9
