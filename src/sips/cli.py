@@ -9,10 +9,11 @@ without --grid a command runs on catalog.default_grid(model), the grid the
 library uses too, and verify's --levels defaults to min(bound states, 5).
 --levels, --n and --count above MAX_COUNT, --grid point counts and
 region-grid cell counts above MAX_POINTS, and a verify whose levels times
-grid points exceed MAX_LEVEL_POINTS are rejected, so no input can ask for
-unbounded work. A --tol that is not a finite number > 0 is rejected too, and
-so is a result that overflows: a report holding inf or nan is no JSON, so
-main exits 2 naming the field instead, whatever the format.
+grid points (a wavefunction whose n + 1 times grid points) exceed
+MAX_LEVEL_POINTS are rejected, so no input can ask for unbounded work. A
+--tol that is not a finite number > 0 is rejected too, and so is a result
+that overflows: a report holding inf or nan is no JSON, so main exits 2
+naming the field instead, whatever the format.
 
 Each cmd_* function computes and writes nothing: it returns (exit code,
 JSON document, text), and main writes the document for --format json and
@@ -20,7 +21,8 @@ the text otherwise, both through _emit.
 
 Each command imports the library modules it uses when it runs, so the module
 itself loads only the standard library: `reps classify` and `reps enumerate`
-never import numpy, and only `verify` imports scipy (inside the referee).
+never import numpy, and only `verify` imports scipy, inside the referee:
+top-level scipy and its LAPACK extension, never `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ ROUTE_AGREEMENT_TOL = 1e-9
 MAX_COUNT = 10_000
 # Largest --grid point count or reps region-grid cell count (j count × m count).
 MAX_POINTS = 1_000_000
-# Largest verify levels × grid points: the referee's work grows as their
-# product, about 0.3 µs each on a 2-core host, so the largest accepted verify
-# takes seconds (at the other limits it would take most of an hour).
+# Largest verify levels × grid points, or wavefunction (n + 1) × grid points:
+# the referee's work and the ladder's grow as these products, about 0.3 µs and
+# 0.03 µs each on a 2-core host, so the largest accepted verify takes seconds
+# and wavefunction about one (at the other limits: most of an hour, minutes).
 MAX_LEVEL_POINTS = 20_000_000
 
 _USAGE_ERRORS = (SipsError, KeyError, ValueError)
@@ -282,6 +285,11 @@ def cmd_wavefunction(args) -> tuple:
     grid = _grid(args, model)
     n = args.n
     energy = catalog.closed_form_energy(model, p, n)
+    if (n + 1) * grid.n_points > MAX_LEVEL_POINTS:
+        raise ValueError(
+            f"wavefunction n={n} on {grid.n_points} points exceeds the limit of "
+            f"{MAX_LEVEL_POINTS} (n + 1) × points"
+        )
     psi = susy.excited_state_by_ladder(model, p, n, grid)
     T = oracle.discretize_hamiltonian(
         lambda x: catalog.potential_minus(model, x, p), grid

@@ -4,7 +4,10 @@ This is the numerical referee for every analytic claim in the package, so it
 deliberately shares nothing with the analytic machinery: second-order central
 differences (the ladder takes no derivative), Dirichlet walls at
 the box edges, and LAPACK's tridiagonal bisection (stebz) and inverse
-iteration (stein) for eigenpairs. ``lowest_eigenvalues`` splits an operator
+iteration (stein) for eigenpairs. Both come from scipy's compiled LAPACK
+module, loaded on the first solve without importing ``scipy.linalg``, whose
+array-API layer would triple a cold ``sips verify`` (``_lapack``).
+``lowest_eigenvalues`` splits an operator
 that is symmetric about its centre (an even potential on a centred box) into
 its even and odd halves, two problems of half the size. ``spectrum`` bisects
 each level only as far
@@ -18,6 +21,9 @@ the eigenvalues do not certify.
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -125,23 +131,75 @@ def lowest_eigenvalues(
         raise ValueError("k must be >= 1")
     if k > T.size:
         raise ValueError(f"requested {k} eigenvalues from a {T.size}-point operator")
-    from scipy.linalg import eigvalsh_tridiagonal  # loaded only when the referee runs
-
     halves = _persymmetric_halves(T)
     if halves is None:
-        return eigvalsh_tridiagonal(
-            T.diag, T.off, select="i", select_range=(0, k - 1), tol=abstol
-        )
+        return _stebz(T.diag, T.off, k, abstol)
     # The odd block is a leading principal submatrix of the even one (odd
     # size), or the even block plus a positive rank-one term (even size), so
     # by Cauchy interlacing the levels alternate even, odd, even, ...: the k
     # lowest are the ⌈k/2⌉ lowest even ones and the ⌊k/2⌋ lowest odd ones.
     levels = [
-        eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), tol=abstol)
+        _stebz(diag, off, count, abstol)
         for (diag, off), count in zip(halves, ((k + 1) // 2, k // 2))
         if count
     ]
     return np.sort(np.concatenate(levels))
+
+
+@functools.cache
+def _lapack():
+    """scipy's f2py LAPACK module, which holds dstebz and dstein.
+
+    ``scipy.linalg`` would cost a cold process about 0.3 s, two thirds of it
+    scipy's array-API layer (numpy.f2py, numpy.testing, numpy.random), none
+    of which the referee uses. Top-level ``scipy`` (its platform set-up,
+    such as DLL paths on Windows) and the one extension module
+    ``scipy.linalg._flapack``, found on scipy's own path and registered
+    under its name so that a later ``import scipy.linalg`` reuses it, cost
+    about 20 ms. A scipy without that module on its path gets the same f2py
+    functions from the public ``scipy.linalg.lapack``.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is already imported
+        return sys.modules[name]
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+
+    spec = PathFinder.find_spec(name, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        from scipy.linalg import lapack
+
+        return lapack
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def _checked(routine: str, info: int) -> None:
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+
+
+def _check_finite(diag: NDArray[np.float64], off: NDArray[np.float64]) -> None:
+    # as scipy's wrappers do: a nan or inf is the caller's error, and stebz
+    # has no check of its own
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("tridiagonal operator must not contain infs or NaNs")
+
+
+def _stebz(diag, off, k: int, abstol: float) -> NDArray[np.float64]:
+    """The k lowest eigenvalues of one tridiagonal, ascending: the stebz call
+    of ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
+    select_range=(0, k - 1), tol=abstol)``, bit for bit."""
+    _check_finite(diag, off)
+    if diag.size == 1:  # f2py rejects an empty off-diagonal
+        return diag.copy()
+    m, w, _, _, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, 1, k, abstol, "E")
+    _checked("dstebz", info)
+    return w[:m]
 
 
 def _persymmetric_halves(T: TridiagonalOperator):
@@ -163,6 +221,8 @@ def _persymmetric_halves(T: TridiagonalOperator):
     diag, off = T.diag, np.abs(T.off)
     mirror = diag[::-1]
     norm = np.abs(diag).max() + 2.0 * off.max(initial=0.0)
+    if not np.isfinite(norm):  # a nan or inf, for _stebz to reject
+        return None
     palindrome = np.abs(diag - mirror).max() <= 2.0 * np.finfo(float).eps * norm
     if not (palindrome and np.array_equal(off, off[::-1])):
         return None
@@ -185,14 +245,25 @@ def eigenvector(T: TridiagonalOperator, index: int) -> SampledFunction:
 
     Returns the wavefunction on the full grid (zeros re-attached at the
     Dirichlet walls), normalized as every state is (SampledFunction.normalized).
+    These are the calls ``scipy.linalg.eigh_tridiagonal(T.diag, T.off,
+    select="i", select_range=(index, index))`` makes.
     """
-    from scipy.linalg import eigh_tridiagonal  # loaded only when the referee runs
-
-    _, vectors = eigh_tridiagonal(
-        T.diag, T.off, select="i", select_range=(index, index)
-    )
+    if not 0 <= index < T.size:
+        raise ValueError(f"level {index} is outside a {T.size}-point operator")
+    _check_finite(T.diag, T.off)
     full = np.zeros(T.grid.n_points)
-    full[1:-1] = vectors[:, 0]
+    if T.size == 1:
+        full[1] = 1.0
+    else:
+        lapack = _lapack()
+        # block order ("B"), which stein needs
+        m, w, iblock, isplit, info = lapack.dstebz(
+            T.diag, T.off, 2, 0.0, 0.0, index + 1, index + 1, 0.0, "B"
+        )
+        _checked("dstebz", info)
+        vectors, info = lapack.dstein(T.diag, T.off, w[:m], iblock, isplit)
+        _checked("dstein", info)
+        full[1:-1] = vectors[:, 0]
     return SampledFunction(T.grid, full).normalized()
 
 

@@ -605,9 +605,34 @@ def test_scipy_loaded_only_by_verify():
         "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])",
     )
     assert listed.stdout.splitlines()[-1] == "0 []"
-    verified = _cold("-m", "sips.cli", "verify", "--model", "scarf", "--params", "a=3,B=1")
+    # the referee loads scipy's LAPACK extension alone: scipy.linalg would
+    # bring scipy's array-API layer, which clones the numpy namespace
+    verified = _cold(
+        "-c",
+        "import sys, sips.cli; rc = sips.cli.main(['verify', '--model', 'scarf', '--params', 'a=3,B=1']); "
+        "print(rc, [m for m in ('scipy.linalg._flapack', 'scipy.linalg', 'scipy._lib._array_api') "
+        "if m in sys.modules])",
+    )
     assert verified.returncode == 0
-    assert verified.stdout.splitlines()[-1] == "PASS"
+    assert verified.stdout.splitlines()[-2:] == ["PASS", "0 ['scipy.linalg._flapack']"]
+
+
+def test_scipy_linalg_usable_after_verify():
+    # the extension verify loaded is the one scipy.linalg then imports
+    proc = _cold(
+        "-c",
+        "import sys, numpy as np, sips.cli; "
+        "sips.cli.main(['verify', '--model', 'scarf', '--params', 'a=3,B=1']); "
+        "flapack = sys.modules['scipy.linalg._flapack']; "
+        "from scipy.linalg import eigh_tridiagonal, lapack; "
+        "w, v = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0)); "
+        "print(lapack._flapack is flapack, *w, *np.abs(v[:, 1]))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    same, *numbers = proc.stdout.splitlines()[-1].split()
+    assert same == "True"
+    root2 = np.sqrt(2.0)
+    assert np.allclose([float(x) for x in numbers], [2.0 - root2, 2.0, 2.0 + root2, 1 / root2, 0.0, 1 / root2])
 
 
 def test_import_sips_loads_no_numpy():
@@ -889,6 +914,33 @@ def test_verify_work_above_limit_rejected(capsys):
         f"error: verify of 600 levels on 60001 points exceeds the limit of "
         f"{MAX_LEVEL_POINTS} levels × points\n"
     )
+
+
+def test_wavefunction_work_above_limit_rejected(capsys, monkeypatch):
+    # 201 ladder steps on 10⁶ points: about 6 s of raising, refused unbuilt
+    import sips.susy
+
+    def unbuilt(*args):
+        raise AssertionError("ladder built for a rejected input")
+
+    monkeypatch.setattr(sips.susy, "excited_state_by_ladder", unbuilt)
+    code, out, err = run(
+        capsys, "wavefunction", "--model", "poschl_teller", "--params", "a=10000", "--n", "200",
+        "--grid", f"-20:20:{MAX_POINTS}",
+    )
+    usage_error(code, out, err)
+    assert err == (
+        f"error: wavefunction n=200 on {MAX_POINTS} points exceeds the limit of "
+        f"{MAX_LEVEL_POINTS} (n + 1) × points\n"
+    )
+
+
+@pytest.mark.parametrize("limit,code", [(3 * 4001, 0), (3 * 4001 - 1, 2)])
+def test_wavefunction_work_limit_counts_ground_state(capsys, monkeypatch, limit, code):
+    # n = 2 builds the ground state and raises it twice: 3 states of 4001 points
+    monkeypatch.setattr(cli, "MAX_LEVEL_POINTS", limit)
+    argv = ["wavefunction", "--model", "scarf", "--params", "a=3,B=1", "--n", "2"]
+    assert run(capsys, *argv)[0] == code
 
 
 @pytest.mark.parametrize("limit,code", [(3 * 4001, 0), (3 * 4001 - 1, 2)])

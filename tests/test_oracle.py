@@ -159,16 +159,16 @@ def _single_solve(T, k, abstol=0.0):
 @pytest.fixture
 def stebz_sizes(monkeypatch):
     # the size of every tridiagonal the referee hands to stebz
-    import scipy.linalg
+    import sips.oracle
 
-    solve = scipy.linalg.eigvalsh_tridiagonal
+    solve = sips.oracle._stebz
     sizes = []
 
-    def recorded(diag, off, **kwargs):
+    def recorded(diag, off, k, abstol):
         sizes.append(len(diag))
-        return solve(diag, off, **kwargs)
+        return solve(diag, off, k, abstol)
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", recorded)
+    monkeypatch.setattr(sips.oracle, "_stebz", recorded)
     return sizes
 
 
@@ -375,3 +375,91 @@ def test_compare_spectra_length_check(scarf_p):
     analytic = spectrum_by_shape_invariance("scarf", scarf_p, 3)
     with pytest.raises(ValueError, match="levels"):
         compare_spectra(analytic, [0.0, 5.0], tol=1e-3)
+
+
+@pytest.mark.parametrize("model,text", [("oscillator", None), ("scarf", "a=3,B=1")])
+def test_eigenvector_matches_scipy_eigh_tridiagonal(ref_grid, model, text):
+    # the referee calls stebz and stein itself, as eigh_tridiagonal does
+    from scipy.linalg import eigh_tridiagonal
+
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, parse_params(model, text)), ref_grid)
+    for index in range(3):
+        _, vectors = eigh_tridiagonal(T.diag, T.off, select="i", select_range=(index, index))
+        full = np.zeros(ref_grid.n_points)
+        full[1:-1] = vectors[:, 0]
+        expected = SampledFunction(ref_grid, full).normalized()  # the sign convention
+        psi = eigenvector(T, index)
+        assert np.max(np.abs(psi.values - expected.values)) <= 1e-12 * np.max(np.abs(expected.values))
+
+
+def test_lapack_fallback_without_extension_spec(monkeypatch, ref_grid, scarf_p):
+    # a scipy whose _flapack is not on its path: the public scipy.linalg.lapack
+    # hands the referee the same f2py functions
+    import sys
+    from importlib.machinery import PathFinder
+
+    import scipy.linalg.lapack
+
+    import sips.oracle
+
+    T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, scarf_p), ref_grid)
+    expected = [lowest_eigenvalues(T, 3, abstol) for abstol in (0.0, 1e-6)]
+    expected_psi = eigenvector(T, 2)
+    find_spec = PathFinder.find_spec
+
+    def no_flapack(name, path=None, target=None):
+        return None if name == "scipy.linalg._flapack" else find_spec(name, path, target)
+
+    monkeypatch.setattr(PathFinder, "find_spec", staticmethod(no_flapack))
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    sips.oracle._lapack.cache_clear()
+    try:
+        assert sips.oracle._lapack() is scipy.linalg.lapack
+        for levels, abstol in zip(expected, (0.0, 1e-6)):
+            assert np.array_equal(lowest_eigenvalues(T, 3, abstol), levels)
+        assert np.array_equal(eigenvector(T, 2).values, expected_psi.values)
+    finally:
+        sips.oracle._lapack.cache_clear()
+
+
+def test_one_point_operator():
+    # LAPACK's f2py wrappers reject the empty off-diagonal of a 1×1 T
+    T = TridiagonalOperator([2.5], [], Grid(0.0, 1.0, 3))
+    assert np.array_equal(lowest_eigenvalues(T, 1), [2.5])
+    assert np.allclose(eigenvector(T, 0).values, [0.0, np.sqrt(2.0), 0.0], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "diag,off", [([1.0, np.nan, 1.0], [-1.0, -1.0]), ([1.0, 2.0, 3.0], [-np.inf, -1.0]),
+                 ([np.inf, 2.0, np.inf], [-1.0, -1.0])]
+)
+def test_nonfinite_operator_rejected(diag, off):
+    # a usage error raised before LAPACK runs, not a LinAlgError from it
+    T = TridiagonalOperator(diag, off, Grid(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lowest_eigenvalues(T, 2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigenvector(T, 0)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_eigenvector_index_outside_operator(index):
+    T = TridiagonalOperator([2.0, 2.0, 2.0], [-1.0, -1.0], Grid(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match=f"level {index} is outside a 3-point operator"):
+        eigenvector(T, index)
+
+
+def test_lapack_failure_raises(monkeypatch):
+    import types
+
+    import sips.oracle
+
+    def failed(d, e, *args):
+        return 0, np.zeros(d.size), np.zeros(d.size, np.int32), np.zeros(d.size, np.int32), 4
+
+    monkeypatch.setattr(sips.oracle, "_lapack", lambda: types.SimpleNamespace(dstebz=failed))
+    T = TridiagonalOperator([1.0, 2.0, 3.0], [-1.0, -1.0], Grid(0.0, 1.0, 5))
+    with pytest.raises(np.linalg.LinAlgError, match="dstebz failed \\(info=4\\)"):
+        lowest_eigenvalues(T, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
+        eigenvector(T, 0)
