@@ -40,7 +40,6 @@ _EXPORTS = {
         "potential_plus",
     ),
     "errors": (
-        "BoundaryContaminationError",
         "GridTooCoarseError",
         "InvalidParameterError",
         "LevelOutOfRangeError",
@@ -48,7 +47,7 @@ _EXPORTS = {
         "SipsError",
         "UnitarityError",
     ),
-    "grids": ("Grid", "SampledFunction", "derivative", "node_count"),
+    "grids": ("Grid", "SampledFunction", "node_count"),
     "oracle": (
         "SpectrumComparison",
         "TridiagonalOperator",

@@ -13,8 +13,13 @@ evaluated at the operator-valued parameter, i.e. at a = m ± 1/2:
 For models whose remainder R(a) is linear with slope 2 (scarf, poschl_teller,
 morse) the three close into SO(2,1): [j₃, j±] = ±j± and [j₊, j₋] = -2·j₃, and
 the product j₊j₋ on sector m is the member Hamiltonian at a = m - 1/2. The
-closure checks below verify all of this numerically; W enters analytically
-and only f is differentiated (5-point stencils).
+closure [j₊, j₋] = -R(m + 1/2) is the shape-invariance identity
+V+(x, m + 1/2) = V-(x, m - 1/2) + R(m + 1/2) in operator form.
+
+Nothing is differentiated on the grid: a test function is carried as its jet
+(f, f', f''), and a ladder step maps it to (g, g') with g = ±f' - W·f and
+g' = ±f'' - W'·f - W·f', from W and W' alone, as the susy ladder carries
+(ψ, ψ'). The checks below therefore measure the algebra to within rounding.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .catalog import ParameterPoint, _partner_potential, get_model, max_bound_states
-from .errors import BoundaryContaminationError, NotSO21Error
-from .grids import SampledFunction, derivative
-from .susy import Spectrum
+from .errors import NotSO21Error
+from .grids import Grid, SampledFunction
+from .susy import _ROUNDING_FLOOR, Spectrum
 
 __all__ = [
     "SectorFunction",
     "So21Check",
+    "gaussian_suite",
     "apply_j3",
     "apply_j_plus",
     "apply_j_minus",
@@ -48,10 +54,37 @@ _R_PROBES = (0.75, 1.5, 2.0, 3.25, 5.0)
 
 @dataclass
 class SectorFunction:
-    """A grid function tagged with its ladder index m (the j₃ eigenvalue)."""
+    """A test function on sector m (the j₃ eigenvalue), carried as a jet:
+    ``f`` and its exact derivatives on the same grid, ``derivatives`` =
+    (f',) or (f', f''). Each ladder step uses up one derivative."""
 
     m: float
     f: SampledFunction
+    derivatives: tuple[NDArray[np.float64], ...] = ()
+
+    def __post_init__(self):
+        self.derivatives = tuple(np.asarray(d, dtype=float) for d in self.derivatives)
+        # the ladder knows W and W' only, so it can carry no derivative past f''
+        if len(self.derivatives) > 2 or any(d.shape != self.f.values.shape for d in self.derivatives):
+            raise ValueError("a jet holds f' and at most f'', each sampled on the grid of f")
+
+
+def gaussian_suite(grid: Grid, m: float) -> dict[str, SectorFunction]:
+    """The closure checks' test functions on sector m, each with its
+    closed-form f' and f'': e^{-x²}, x·e^{-x²} and e^{-(x-1)²/2}."""
+    x = grid.x
+    g = np.exp(-(x**2))
+    u = x - 1.0
+    g_off = np.exp(-(u**2) / 2.0)
+    jets = {
+        "gaussian": (g, -2.0 * x * g, (4.0 * x**2 - 2.0) * g),
+        "odd_gaussian": (x * g, (1.0 - 2.0 * x**2) * g, (4.0 * x**2 - 6.0) * x * g),
+        "offset_gaussian": (g_off, -u * g_off, (u**2 - 1.0) * g_off),
+    }
+    return {
+        name: SectorFunction(m, SampledFunction(grid, f), derivatives)
+        for name, (f, *derivatives) in jets.items()
+    }
 
 
 def _sector_point(m_shifted: float, p: ParameterPoint | None) -> ParameterPoint:
@@ -61,16 +94,22 @@ def _sector_point(m_shifted: float, p: ParameterPoint | None) -> ParameterPoint:
 
 
 def apply_j3(s: SectorFunction) -> SectorFunction:
-    """j₃ is diagonal on sectors: multiplies by m."""
-    return SectorFunction(s.m, SampledFunction(s.f.grid, s.m * s.f.values))
+    """j₃ is diagonal on sectors: multiplies the jet by m."""
+    return SectorFunction(
+        s.m, SampledFunction(s.f.grid, s.m * s.f.values), tuple(s.m * d for d in s.derivatives)
+    )
 
 
 def _apply_ladder(model, s: SectorFunction, p: ParameterPoint | None, sign: float) -> SectorFunction:
+    if not s.derivatives:
+        raise ValueError("the test function's jet has no derivative left for a ladder step")
     model = get_model(model)
     grid = s.f.grid
-    w = np.asarray(model.w(grid.x, _sector_point(s.m + 0.5 * sign, p)), dtype=float)
-    values = sign * derivative(s.f.values, grid.h) - w * s.f.values
-    return SectorFunction(s.m + sign, SampledFunction(grid, values))
+    point = _sector_point(s.m + 0.5 * sign, p)
+    w = np.asarray(model.w(grid.x, point), dtype=float)
+    f, (df, *d2f) = s.f.values, s.derivatives
+    dg = tuple(sign * d2 - model.w_prime(grid.x, point) * f - w * df for d2 in d2f)
+    return SectorFunction(s.m + sign, SampledFunction(grid, sign * df - w * f), dg)
 
 
 def apply_j_plus(model, s: SectorFunction, p: ParameterPoint | None = None) -> SectorFunction:
@@ -93,6 +132,8 @@ def commutator_j3_residual(model, s: SectorFunction, p: ParameterPoint | None = 
     Exact up to float rounding: the sector shift is bookkeeping, so this is a
     regression guard, not a discretization test.
     """
+    # one ladder step reads only f', so the jet is cut there
+    s = SectorFunction(s.m, s.f, s.derivatives[:1])
     out = {}
     for name, ladder, sign in (
         ("plus", apply_j_plus, +1.0),
@@ -100,22 +141,10 @@ def commutator_j3_residual(model, s: SectorFunction, p: ParameterPoint | None = 
     ):
         jf = ladder(model, s, p)
         j3_jf = apply_j3(jf).f.values
-        j_j3f = ladder(model, SectorFunction(s.m, apply_j3(s).f), p).f.values
+        j_j3f = ladder(model, apply_j3(s), p).f.values
         commutator = j3_jf - j_j3f
         out[name] = _l2(commutator - sign * jf.f.values) / _l2(jf.f.values)
     return out
-
-
-def _check_boundary(s: SectorFunction) -> None:
-    grid = s.f.grid
-    x = grid.x
-    outside = (x < grid.x_min + 2.0) | (x > grid.x_max - 2.0)
-    total = _l2(s.f.values)
-    if total == 0.0 or _l2(s.f.values[outside]) > 1e-10 * total:
-        raise BoundaryContaminationError(
-            "test function is not negligible within 2 units of the grid edge; "
-            "widen the box or use a more compact function"
-        )
 
 
 def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) -> dict:
@@ -123,19 +152,21 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
 
     For slope-2 models R(m + 1/2) = 2m, i.e. the commutator acts as -2·j₃.
     Returns the relative residual together with the two operator-product
-    residuals against their second-order forms:
+    residuals against their second-order forms, which use the jet's f'':
 
         j₊j₋ ↔ -f'' + V-(x, m - 1/2)·f
         j₋j₊ ↔ -f'' + V+(x, m + 1/2)·f
 
-    The second derivative is applied as two passes of the first-derivative
-    stencil, exactly as the commutator itself computes it.
+    and ``rounding_floor``, 16·eps·max(‖(|V+| + |V-| + |R|)·f‖ / ‖f‖, |m|),
+    what rounding alone can give these residuals (verify_shape_invariance's
+    floor) and commutator_j3_residual's (j₃ scales the jet by m).
     """
     model = get_model(model)
-    _check_boundary(s)
     grid = s.f.grid
     f = s.f.values
     norm_f = _l2(f)
+    if norm_f == 0.0:
+        raise ValueError("test function vanishes on the grid; no residual can be scaled by its norm")
 
     jp_jm = apply_j_plus(model, apply_j_minus(model, s, p), p).f.values
     jm_jp = apply_j_minus(model, apply_j_plus(model, s, p), p).f.values
@@ -145,18 +176,19 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
     r_value = model.remainder(p_plus)
     closure = _l2(commutator + r_value * f) / norm_f
 
-    # Same double-stencil second derivative for the reference Hamiltonians.
-    f_xx = derivative(derivative(f, grid.h), grid.h)
+    f_xx = s.derivatives[1]
     v_minus = _partner_potential(model, grid.x, p_minus, -1.0)
     v_plus = _partner_potential(model, grid.x, p_plus, 1.0)
     product_pm = _l2(jp_jm - (-f_xx + v_minus * f)) / norm_f
     product_mp = _l2(jm_jp - (-f_xx + v_plus * f)) / norm_f
+    floor = max(_l2((np.abs(v_plus) + np.abs(v_minus) + abs(r_value)) * f) / norm_f, abs(s.m))
 
     return {
         "closure": closure,
         "remainder_value": r_value,
         "product_plus_minus": product_pm,
         "product_minus_plus": product_mp,
+        "rounding_floor": _ROUNDING_FLOOR * floor,
     }
 
 

@@ -309,11 +309,8 @@ def cmd_wavefunction(args) -> tuple:
 
 
 def cmd_algebra_check(args) -> tuple:
-    import numpy as np
-
     from . import algebra as alg
     from .catalog import get_model
-    from .grids import SampledFunction
 
     model = get_model(args.model)
     m, tol = args.m, args.tol
@@ -321,16 +318,9 @@ def cmd_algebra_check(args) -> tuple:
     # a is fixed by the sector index; --params only supplies auxiliaries here
     aux_p = parse_params(model, args.params, default_a=m - 0.5) if args.params else None
 
-    x = grid.x
-    test_functions = {
-        "gaussian": np.exp(-(x**2)),
-        "odd_gaussian": x * np.exp(-(x**2)),
-        "offset_gaussian": np.exp(-((x - 1.0) ** 2) / 2.0),
-    }
-    worst = 0.0
+    worst = floor = 0.0
     reports = []
-    for name, values in test_functions.items():
-        sector = alg.SectorFunction(m, SampledFunction(grid, values))
+    for name, sector in alg.gaussian_suite(grid, m).items():
         # closure first: it rejects a test function that vanishes on the grid,
         # which the j3 residual would divide by
         closure = alg.closure_residual(model, sector, aux_p)
@@ -343,6 +333,7 @@ def cmd_algebra_check(args) -> tuple:
             "product_minus_plus": closure["product_minus_plus"],
         }
         worst = max(worst, *residuals.values())
+        floor = max(floor, closure["rounding_floor"])
         reports.append({"test_function": name, "residuals": residuals})
     payload = {
         "model": model.id,
@@ -353,6 +344,12 @@ def cmd_algebra_check(args) -> tuple:
         "worst_residual": worst,
         "passed": worst < tol,
     }
+    if floor >= tol:
+        # a report that overflowed names its field first
+        _require_finite(payload)
+        raise ValueError(
+            f"the check cannot resolve tol {tol:g} at m={m:g}: rounding alone reaches {floor:.1e}"
+        )
     lines = [f"model {model.id}  m={m:g}"]
     for report in reports:
         res = report["residuals"]

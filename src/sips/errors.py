@@ -14,15 +14,11 @@ class LevelOutOfRangeError(SipsError, IndexError):
 
 
 class GridTooCoarseError(SipsError, ValueError):
-    """Grid has too few points for the finite-difference stencils in use."""
+    """Grid too coarse, or with too few points, for the levels the referee is asked for."""
 
 
 class NotSO21Error(SipsError, ValueError):
     """Model's remainder function is not linear with slope 2, so no SO(2,1) algebra."""
-
-
-class BoundaryContaminationError(SipsError, ValueError):
-    """Test function carries non-negligible weight near the grid boundary."""
 
 
 class UnitarityError(SipsError, ValueError):

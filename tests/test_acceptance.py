@@ -93,16 +93,19 @@ def test_criterion_4_algebra_closure():
     """[j+, j-] + 2m acts as zero to 1e-4 on the smooth test suite for scarf
     at m = 0.5, 2, 3.5; the [j3, j±] relation holds to 1e-12."""
     x = REF_GRID.x
+    g = np.exp(-(x**2))
+    h = np.exp(-((x - 1.0) ** 2) / 2.0)
+    # each test function with its exact f' and f''
     suite = {
-        "gaussian": np.exp(-(x**2)),
-        "odd_gaussian": x * np.exp(-(x**2)),
-        "offset_gaussian": np.exp(-((x - 1.0) ** 2) / 2.0),
+        "gaussian": (g, -2.0 * x * g, (4.0 * x**2 - 2.0) * g),
+        "odd_gaussian": (x * g, (1.0 - 2.0 * x**2) * g, (4.0 * x**3 - 6.0 * x) * g),
+        "offset_gaussian": (h, -(x - 1.0) * h, ((x - 1.0) ** 2 - 1.0) * h),
     }
     worst_closure, worst_j3 = 0.0, 0.0
     for m in (0.5, 2.0, 3.5):
         p = ParameterPoint(m, {"B": 1.0})
-        for values in suite.values():
-            sector = SectorFunction(m, SampledFunction(REF_GRID, values))
+        for f, df, d2f in suite.values():
+            sector = SectorFunction(m, SampledFunction(REF_GRID, f), (df, d2f))
             worst_closure = max(worst_closure, closure_residual("scarf", sector, p)["closure"])
             j3 = commutator_j3_residual("scarf", sector, p)
             worst_j3 = max(worst_j3, j3["plus"], j3["minus"])

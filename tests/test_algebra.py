@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sips import (
-    BoundaryContaminationError,
+    Grid,
     NotSO21Error,
     ParameterPoint,
     SampledFunction,
@@ -16,22 +16,47 @@ from sips import (
     closure_residual,
     commutator_j3_residual,
     energy_from_algebra,
+    get_model,
     ground_state,
     is_so21,
     spectrum,
     spectrum_by_shape_invariance,
 )
+from sips.algebra import gaussian_suite
+
+
+_SUITE_NAMES = {"gaussian": "gaussian", "odd": "odd_gaussian", "offset": "offset_gaussian"}
 
 
 def gaussian_sector(grid, m, kind="gaussian"):
-    x = grid.x
-    if kind == "gaussian":
-        values = np.exp(-(x**2))
-    elif kind == "odd":
-        values = x * np.exp(-(x**2))
-    else:
-        values = np.exp(-((x - 1.0) ** 2) / 2.0)
-    return SectorFunction(m, SampledFunction(grid, values))
+    return gaussian_suite(grid, m)[_SUITE_NAMES[kind]]
+
+
+def test_suite_jets_match_numerical_derivatives():
+    # each closed-form f' and f'' against second-order differences of the
+    # closed form one level down, on a grid fine enough for 1e-6
+    grid = Grid(-10.0, 10.0, 40001)
+    for name, s in gaussian_suite(grid, 0.0).items():
+        f, (df, d2f) = s.f.values, s.derivatives
+        assert np.max(np.abs(np.gradient(f, grid.h) - df)[1:-1]) < 1e-6, name
+        assert np.max(np.abs(np.gradient(df, grid.h) - d2f)[1:-1]) < 1e-6, name
+
+
+def test_each_ladder_step_uses_up_one_derivative(ref_grid):
+    s = gaussian_sector(ref_grid, 2.0)
+    once = apply_j_plus("scarf", s)
+    twice = apply_j_minus("scarf", once)
+    assert (len(s.derivatives), len(once.derivatives), len(twice.derivatives)) == (2, 1, 0)
+    with pytest.raises(ValueError, match="no derivative left"):
+        apply_j_plus("scarf", twice)
+
+
+def test_jet_derivatives_must_share_the_grid(ref_grid):
+    f = SampledFunction(ref_grid, np.zeros(ref_grid.n_points))
+    with pytest.raises(ValueError, match="grid of f"):
+        SectorFunction(1.0, f, (np.zeros(3),))
+    with pytest.raises(ValueError, match="at most f''"):
+        SectorFunction(1.0, f, (f.values,) * 3)
 
 
 def test_j3_scales_by_sector_index(ref_grid):
@@ -49,7 +74,8 @@ def test_ladder_changes_sector_by_one(ref_grid):
 
 
 def test_ladder_is_linear_in_zero(ref_grid):
-    zero = SectorFunction(1.0, SampledFunction(ref_grid, np.zeros(ref_grid.n_points)))
+    zeros = np.zeros(ref_grid.n_points)
+    zero = SectorFunction(1.0, SampledFunction(ref_grid, zeros), (zeros, zeros))
     assert np.all(apply_j_plus("scarf", zero).f.values == 0.0)
     assert np.all(apply_j_minus("scarf", zero).f.values == 0.0)
 
@@ -60,8 +86,10 @@ def test_lowering_annihilates_sector_ground_state(ref_grid):
     m = 3.5
     p = ParameterPoint(m - 0.5, {"B": 1.0})
     psi0 = ground_state("scarf", p, ref_grid)
-    out = apply_j_minus("scarf", SectorFunction(m, psi0), p)
-    assert np.linalg.norm(out.f.values) < 1e-6 * np.linalg.norm(psi0.values)
+    # ψ₀' = -W(a)·ψ₀
+    dpsi0 = -get_model("scarf").w(ref_grid.x, p) * psi0.values
+    out = apply_j_minus("scarf", SectorFunction(m, psi0, (dpsi0,)), p)
+    assert np.linalg.norm(out.f.values) < 1e-12 * np.linalg.norm(psi0.values)
     assert out.m == m - 1.0
 
 
@@ -81,24 +109,34 @@ def test_j3_ladder_commutator(ref_grid, model_id, m, aux):
 def test_closure_scarf(ref_grid, m, kind):
     s = gaussian_sector(ref_grid, m, kind)
     report = closure_residual("scarf", s, ParameterPoint(m, {"B": 1.0}))
-    assert report["closure"] < 1e-4
+    # exact derivatives: what is left is rounding
+    assert report["closure"] < 1e-12
     assert report["remainder_value"] == pytest.approx(2.0 * m)
-    assert report["product_plus_minus"] < 1e-4
-    assert report["product_minus_plus"] < 1e-4
+    assert report["product_plus_minus"] < 1e-12
+    assert report["product_minus_plus"] < 1e-12
+    assert report["rounding_floor"] < 1e-12
 
 
 def test_closure_oscillator_constant_remainder(ref_grid):
+    # R = 2 is constant, yet on any one sector [j+, j-] = -R still holds
     report = closure_residual("oscillator", gaussian_sector(ref_grid, 1.3))
-    assert report["closure"] < 1e-4
+    assert report["closure"] < 1e-12
     assert report["remainder_value"] == 2.0
 
 
-def test_boundary_contamination_rejected(ref_grid):
-    wide = SectorFunction(
-        2.0, SampledFunction(ref_grid, np.exp(-ref_grid.x**2 / 200.0))
-    )
-    with pytest.raises(BoundaryContaminationError):
-        closure_residual("scarf", wide, ParameterPoint(2.0, {"B": 1.0}))
+@pytest.mark.parametrize("m", [10.0, 1e3, 1e6])
+@pytest.mark.parametrize("model_id,aux", [("scarf", {"B": 1.0}), ("morse", {"B": 1.0}), ("oscillator", {})])
+def test_rounding_floor_bounds_residuals_at_large_m(model_id, aux, m):
+    # V± grow like m² and j3 scales by m: the residuals grow with them, and
+    # the floor must stay above every one
+    grid = Grid(*get_model(model_id).default_box, 4001)
+    p = ParameterPoint(m, aux)
+    for s in gaussian_suite(grid, m).values():
+        closure = closure_residual(model_id, s, p)
+        j3 = commutator_j3_residual(model_id, s, p)
+        residuals = (j3["plus"], j3["minus"], closure["closure"],
+                     closure["product_plus_minus"], closure["product_minus_plus"])
+        assert max(residuals) < closure["rounding_floor"]
 
 
 def test_energy_from_algebra_values():

@@ -681,16 +681,17 @@ def test_numeric_commands_after_numpy_free_command(capsys):
     assert verify_result[1].splitlines()[-1] == "PASS"
 
 
-# `import sips` before the exports became lazy: every name it bound
+# every name `import sips` exports: those it bound before the exports became
+# lazy, less `derivative` and `BoundaryContaminationError`, since removed
 _PUBLIC_NAMES = {
     "algebra": ["SectorFunction", "So21Check", "algebra_spectrum", "apply_j3", "apply_j_minus", "apply_j_plus",
                 "closure_residual", "commutator_j3_residual", "energy_from_algebra", "is_so21"],
     "catalog": ["MODELS", "ParameterPoint", "SuperpotentialModel", "closed_form_energy", "default_grid",
                 "evaluate_superpotential", "get_model", "list_models", "max_bound_states", "potential_minus",
                 "potential_plus"],
-    "errors": ["BoundaryContaminationError", "GridTooCoarseError", "InvalidParameterError", "LevelOutOfRangeError",
-               "NotSO21Error", "SipsError", "UnitarityError"],
-    "grids": ["Grid", "SampledFunction", "derivative", "node_count"],
+    "errors": ["GridTooCoarseError", "InvalidParameterError", "LevelOutOfRangeError", "NotSO21Error", "SipsError",
+               "UnitarityError"],
+    "grids": ["Grid", "SampledFunction", "node_count"],
     "oracle": ["SpectrumComparison", "TridiagonalOperator", "compare_spectra", "discretize_hamiltonian",
                "eigenvector", "lowest_eigenvalues", "residual_norm", "spectrum", "sturm_count"],
     "susy": ["ShapeInvarianceReport", "Spectrum", "excited_state_by_ladder", "ground_state",
@@ -702,7 +703,7 @@ _PUBLIC_NAMES = {
 
 def test_lazy_exports_complete():
     names = {name: module for module, owned in _PUBLIC_NAMES.items() for name in owned}
-    assert len(names) == 57
+    assert len(names) == 55
     script = (
         "import importlib, json, sys, sips\n"
         f"names = {names!r}\n"
@@ -787,20 +788,61 @@ def test_tol_must_be_finite_and_positive(capsys, argv, tol):
     assert err == f"error: --tol {float(tol):g} must be a finite number > 0\n"
 
 
-def test_algebra_check_boundary_contamination_is_usage_error(capsys):
-    # the gaussian test functions reach the edge of the morse box [-6, 20]
-    code, out, err = run(
-        capsys, "algebra", "check", "--model", "morse", "--m", "3", "--params", "B=1"
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        # the gaussians reach the edge of the morse box [-6, 20]: exact
+        # derivatives do not care
+        (["--model", "morse", "--m", "3.5", "--params", "B=1"], 1e-12),
+        (["--model", "scarf", "--m", "2", "--grid", "-1:1:101"], 1e-12),
+        (["--model", "poschl_teller", "--m", "4.2"], 1e-12),
+        # R = 2 is constant, so [j+, j-] = -2 on every sector
+        (["--model", "oscillator", "--m", "1.3"], 1e-12),
+        # V± near 1e6: rounding grows with them, still far below tol
+        (["--model", "scarf", "--m", "1e3", "--params", "B=1"], 1e-9),
+    ],
+    ids=["morse", "narrow-grid", "poschl_teller", "oscillator", "large-m"],
+)
+def test_algebra_check_closes_to_rounding(capsys, argv, bound):
+    code, out, err = run(capsys, "algebra", "check", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["worst_residual"] < bound
+
+
+def test_algebra_check_shifted_remainder_fails(capsys, monkeypatch):
+    # a remainder off by 10·tol shows at full size in the closure residual
+    import dataclasses
+
+    from sips import catalog
+
+    scarf = catalog.MODELS["scarf"]
+    shifted = dataclasses.replace(scarf, remainder=lambda p: scarf.remainder(p) + 1e-3)
+    monkeypatch.setitem(catalog.MODELS, "scarf", shifted)
+    code, out, _ = run(
+        capsys, "algebra", "check", "--model", "scarf", "--m", "2", "--params", "B=1", "--format", "json"
     )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    for check in payload["checks"]:
+        assert check["residuals"]["closure"] == pytest.approx(1e-3, rel=1e-6)
+
+
+@pytest.mark.parametrize("model_id,m", [("scarf", "1e6"), ("oscillator", "1e12")])
+def test_algebra_check_below_rounding_is_usage_error(capsys, model_id, m):
+    # rounding alone would reach tol: no verdict, rather than a false FAIL
+    code, out, err = run(capsys, "algebra", "check", "--model", model_id, "--m", m)
     usage_error(code, out, err)
-    assert "grid edge" in err
+    assert f"cannot resolve tol 0.0001 at m={float(m):g}" in err
 
 
 def test_algebra_check_vanishing_test_function_is_usage_error(capsys):
     # every gaussian underflows to 0 on [100, 200]: no residual can be scaled by its norm
     code, out, err = run(capsys, "algebra", "check", "--model", "scarf", "--m", "2", "--grid", "100:200:101")
     usage_error(code, out, err)
-    assert "grid edge" in err
+    assert "vanishes on the grid" in err
 
 
 def test_spectrum_routes_agree_at_large_a(capsys):
