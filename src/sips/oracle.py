@@ -13,10 +13,10 @@ its even and odd halves, two problems of half the size. ``spectrum`` bisects
 each level only as far
 as the verdict needs, to 1e-3·min(tol, 1e-3) in energy units (LAPACK's
 ABSTOL), and certifies that a grid holds the requested levels from the eigenvalues stebz
-returns, with a margin of that ABSTOL plus 8·eps·‖T‖₁. ``sturm_count``, a
-standalone utility independent of LAPACK, counts the levels below any
-energy without solving for them; ``spectrum`` calls it only for a grid that
-the eigenvalues do not certify.
+returns, with a margin of that ABSTOL plus 8·eps·‖T‖₁. ``sturm_count``
+counts the levels below any energy with one stebz call and no bisection
+step; ``spectrum`` calls it only for a grid that the eigenvalues do not
+certify.
 """
 
 from __future__ import annotations
@@ -89,25 +89,23 @@ def discretize_hamiltonian(V: Callable, grid: Grid) -> TridiagonalOperator:
 
 
 def sturm_count(T: TridiagonalOperator, E: float) -> int:
-    """Number of eigenvalues of T strictly below E (Sturm sequence sign count)."""
-    return _sturm_count(T.diag.tolist(), (T.off**2).tolist(), float(E))
-
-
-def _sturm_count(diag: list, off2: list, E: float) -> int:
-    # LDLᵀ pivots of T - E; count of negative pivots = eigenvalues below E.
-    # Plain-float loop: ~1 ms on 4000 nodes, far below numpy per-op overhead.
-    count = 0
-    q = diag[0] - E
-    if q < 0.0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, len(diag)):
-        if q == 0.0:
-            q = tiny
-        q = diag[i] - E - off2[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
+    """Number of eigenvalues of T strictly below E: the count of one LAPACK
+    dstebz call on (-inf, nextafter(E, -inf)] (RANGE='V'; dstebz clips -inf
+    to its Gershgorin bound), whose ABSTOL = +inf leaves out every bisection
+    step. Exact for T with off-diagonals perturbed by a few eps (Kahan), so
+    an E within about eps·‖T‖₁ of an eigenvalue may count either way.
+    """
+    E = float(E)
+    if np.isnan(E):
+        raise ValueError("cannot count the eigenvalues below nan")
+    _check_finite(T.diag, T.off)
+    if T.size == 1 or np.isinf(E):  # f2py rejects an empty off-diagonal, dstebz VL >= VU
+        return int(np.count_nonzero(T.diag < E))
+    m, _, _, _, info = _lapack().dstebz(
+        T.diag, T.off, 1, -np.inf, np.nextafter(E, -np.inf), 0, 0, np.inf, "E"
+    )
+    _checked("dstebz", info)
+    return m
 
 
 def lowest_eigenvalues(
@@ -154,10 +152,11 @@ def _lapack():
     scipy's array-API layer (numpy.f2py, numpy.testing, numpy.random), none
     of which the referee uses. Top-level ``scipy`` (its platform set-up,
     such as DLL paths on Windows) and the one extension module
-    ``scipy.linalg._flapack``, found on scipy's own path and registered
-    under its name so that a later ``import scipy.linalg`` reuses it, cost
-    about 20 ms. A scipy without that module on its path gets the same f2py
-    functions from the public ``scipy.linalg.lapack``.
+    ``scipy.linalg._flapack``, found on scipy's own path, cost about 20 ms.
+    It stays out of ``sys.modules``, since loaded before its package it would
+    never be set as its attribute; ``import scipy.linalg`` rebuilds it from
+    CPython's extension cache, with the same functions. A scipy without it on
+    its path gets them from the public ``scipy.linalg.lapack``.
     """
     import scipy
 
@@ -174,7 +173,7 @@ def _lapack():
         return lapack
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    sys.modules.pop(name, None)  # single-phase init registers it
     return module
 
 

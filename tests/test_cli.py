@@ -200,13 +200,25 @@ def usage_error(code, out, err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_verify_grid_too_coarse(capsys):
-    # 7 points hold fewer than 3 levels below the continuum edge a² = 9
-    code, out, err = run(
-        capsys, "verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:20:7"
-    )
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # 7 points hold fewer than 3 levels below the continuum edge a² = 9
+        (["--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:20:7"],
+         "7-point grid on [-20, 20] holds 1 of 3 levels below the continuum edge 9"),
+        # top levels 7e-4 and 4e-3 below the edge, which the box pushes above it
+        (["--model", "scarf", "--params", "a=3.026,B=0.32"],
+         "4001-point grid on [-20, 20] holds 3 of 4 levels below the continuum edge 9.15668"),
+        (["--model", "morse", "--params", "a=1.0634,B=0.0127", "--levels", "2"],
+         "4001-point grid on [-6, 20] holds 1 of 2 levels below the continuum edge 1.13082"),
+    ],
+    ids=["scarf-7-points", "scarf-level-at-edge", "morse-level-at-edge"],
+)
+def test_verify_grid_too_coarse(capsys, argv, message):
+    # the Sturm count gives each message its level count
+    code, out, err = run(capsys, "verify", *argv)
     usage_error(code, out, err)
-    assert "continuum edge" in err
+    assert err == f"error: {message}\n"
 
 
 def test_verify_oscillator_grid_too_coarse(capsys):
@@ -614,19 +626,20 @@ def test_scipy_loaded_only_by_verify():
         "if m in sys.modules])",
     )
     assert verified.returncode == 0
-    assert verified.stdout.splitlines()[-2:] == ["PASS", "0 ['scipy.linalg._flapack']"]
+    # the extension stays out of sys.modules until scipy.linalg imports it
+    assert verified.stdout.splitlines()[-2:] == ["PASS", "0 []"]
 
 
 def test_scipy_linalg_usable_after_verify():
-    # the extension verify loaded is the one scipy.linalg then imports
+    # a later import sets the extension on its package and shares its functions
     proc = _cold(
         "-c",
-        "import sys, numpy as np, sips.cli; "
+        "import numpy as np, sips.cli, sips.oracle; "
         "sips.cli.main(['verify', '--model', 'scarf', '--params', 'a=3,B=1']); "
-        "flapack = sys.modules['scipy.linalg._flapack']; "
-        "from scipy.linalg import eigh_tridiagonal, lapack; "
+        "import scipy.linalg._flapack; "
+        "from scipy.linalg import eigh_tridiagonal; "
         "w, v = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0)); "
-        "print(lapack._flapack is flapack, *w, *np.abs(v[:, 1]))",
+        "print(scipy.linalg._flapack.dstebz is sips.oracle._lapack().dstebz, *w, *np.abs(v[:, 1]))",
     )
     assert proc.returncode == 0, proc.stderr
     same, *numbers = proc.stdout.splitlines()[-1].split()

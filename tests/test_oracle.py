@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sips import (
     Grid,
@@ -87,6 +89,50 @@ def test_sturm_count_between_levels(ref_grid, scarf_p):
     for k in range(2):
         midpoint = 0.5 * (energies[k] + energies[k + 1])
         assert sturm_count(T, midpoint) == k + 1
+
+
+# zero or 1e-3 to 100 in size, either sign: dstebz takes an off-diagonal
+# whose square is below its safe minimum for zero, so a T of only such tiny
+# entries is counted to an absolute accuracy, not to one relative to ‖T‖₁
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 100.0), st.floats(-100.0, -1e-3))
+
+
+@st.composite
+def _tridiagonals(draw):
+    # zero off-diagonals split T into blocks, some of them 1×1
+    n = draw(st.integers(1, 13))
+    diag = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    off = draw(st.lists(_ENTRIES, min_size=n - 1, max_size=n - 1))
+    return TridiagonalOperator(diag, off, Grid(0.0, 1.0, n + 2))
+
+
+@settings(max_examples=300, deadline=500)
+@given(_tridiagonals(), st.floats(-300.0, 300.0, allow_subnormal=False))
+def test_sturm_count_matches_dense_count(T, E):
+    # away from the eigenvalues, where either count may fall either way
+    levels = np.linalg.eigvalsh(np.diag(T.diag) + np.diag(T.off, 1) + np.diag(T.off, -1))
+    norm = np.abs(T.diag).max() + 2.0 * np.abs(T.off).max(initial=0.0)
+    assume(np.min(np.abs(levels - E)) > 1e-9 * norm)
+    assert sturm_count(T, E) == np.sum(levels < E)
+
+
+def test_sturm_count_rejects_nan():
+    T = TridiagonalOperator([2.0, 2.0, 2.0], [-1.0, -1.0], Grid(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match="below nan"):
+        sturm_count(T, np.nan)
+
+
+def test_sturm_count_at_infinity(capfd):
+    # no LAPACK call: dstebz would print its illegal-argument message for -inf
+    T = TridiagonalOperator([2.0, 2.0, 2.0], [-1.0, -1.0], Grid(0.0, 1.0, 5))
+    assert sturm_count(T, -np.inf) == 0
+    assert sturm_count(T, np.inf) == 3
+    assert capfd.readouterr() == ("", "")
+
+
+def test_sturm_count_one_point_operator():
+    T = TridiagonalOperator([2.5], [], Grid(0.0, 1.0, 3))
+    assert [sturm_count(T, E) for E in (-np.inf, 2.0, 2.5, 3.0, np.inf)] == [0, 0, 0, 1, 1]
 
 
 def test_exact_discrete_eigenpair_residual():
@@ -440,6 +486,8 @@ def test_nonfinite_operator_rejected(diag, off):
         lowest_eigenvalues(T, 2)
     with pytest.raises(ValueError, match="infs or NaNs"):
         eigenvector(T, 0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sturm_count(T, 0.0)
 
 
 @pytest.mark.parametrize("index", [-1, 3])
@@ -463,3 +511,5 @@ def test_lapack_failure_raises(monkeypatch):
         lowest_eigenvalues(T, 2)
     with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
         eigenvector(T, 0)
+    with pytest.raises(np.linalg.LinAlgError, match="dstebz failed \\(info=4\\)"):
+        sturm_count(T, 2.0)

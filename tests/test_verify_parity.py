@@ -20,7 +20,8 @@ from sips.cli import main
 # None leaves the option at its default. The README commands, a tol so
 # large that only the cap on ABSTOL keeps the levels right, the five
 # points whose correct closed forms the default grid fails, the oscillator
-# grid with too few points, and the corners of the parameter ranges the
+# grid with too few points, a scarf point whose top level the box pushes
+# above the continuum edge, and the corners of the parameter ranges the
 # referee benchmark draws from at 1001, 4001 and 16001 points.
 PINNED = [
     ("morse", "a=3,B=1", None, None, None, 0, True,
@@ -35,6 +36,7 @@ PINNED = [
     ("scarf", "a=3,B=1", None, None, 1e6, 0, True,
      [-4.74875136629e-05, 4.99986434261, 7.99986429622]),
     ("oscillator", None, "-5:5:9", 20, None, 2, None, None),
+    ("scarf", "a=3.026,B=0.32", None, None, None, 2, None, None),
     ("poschl_teller", "a=6", None, None, None, 1, False,
      [-0.000203086857264, 10.9992069794, 19.998508684, 26.9981203814, 31.9982604885]),
     ("scarf", "a=8,B=2", None, None, None, 1, False,
