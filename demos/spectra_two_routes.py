@@ -4,8 +4,10 @@ The scarf family illustrates the whole story. Its partner potential is the
 same potential with a -> a - 1 plus the constant R(a) = 2a - 1, so energies
 are partial sums of R. Independently, the family Hamiltonians appear as
 products of SO(2,1) ladder operators on sectors labeled m, where the sector
-Hamiltonian is the a = m - 1/2 member and E = m^2 - m - j(j+1). Both routes
-must produce the same numbers, and a finite-difference eigensolver referees.
+Hamiltonian is the a = m - 1/2 member and level n is the state of the D+
+multiplet with j = n - m and bottom m0 = m - n, at E = m^2 - m - j(j+1).
+Both routes must produce the same numbers, and a finite-difference
+eigensolver referees.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from sips import (
     Grid,
     ParameterPoint,
     algebra_spectrum,
+    classify,
     list_models,
     spectrum,
     spectrum_by_shape_invariance,
@@ -40,7 +43,9 @@ for n, (energy, pk) in enumerate(zip(spec.energies, spec.level_params)):
 
 print("\n== route 2: the SO(2,1) ladder at m = a0 + 1/2 ==")
 alg = algebra_spectrum("scarf", 3.5, 3, {"B": 1.0})
-print(f"  energies: {alg.energies.tolist()}")
+for n, energy in enumerate(alg.energies):
+    label = classify(n - 3.5, 3.5 - n)
+    print(f"  E_{n} = {energy:g}   (j = {label.j:g}, m0 = {label.m0:g}, {label.rep_class.value})")
 print(f"  max discrepancy between routes: "
       f"{np.max(np.abs(spec.energies - alg.energies)):.2e}")
 

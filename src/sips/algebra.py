@@ -20,6 +20,10 @@ Nothing is differentiated on the grid: a test function is carried as its jet
 (f, f', f''), and a ladder step maps it to (g, g') with g = ±f' - W·f and
 g' = ±f'' - W'·f - W·f', from W and W' alone, as the susy ladder carries
 (ψ, ψ'). The checks below therefore measure the algebra to within rounding.
+
+The spectrum is read off representation labels (``unireps``): level n of
+sector m is |j = n - m, m⟩ in the D⁺ multiplet with bottom m₀ = m - n, at
+the energy m² - m - j(j+1), which ``spectrum --route both`` sets against Σ R.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .catalog import ParameterPoint, _partner_potential, get_model, max_bound_st
 from .errors import NotSO21Error
 from .grids import Grid, SampledFunction
 from .susy import _ROUNDING_FLOOR, Spectrum
+from .unireps import classify
 
 __all__ = [
     "SectorFunction",
@@ -193,8 +198,9 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
 
 
 def energy_from_algebra(m: float, j: float) -> float:
-    """Energy of the |j, m⟩ state of the sector Hamiltonian: m² - m - j(j+1)."""
-    return m * m - m - j * (j + 1.0)
+    """Energy of the |j, m⟩ state of the sector Hamiltonian, m² - m - j(j+1),
+    factored as (m + j)(m - j - 1): no cancellation, exactly 0 at j = m - 1."""
+    return (m + j) * (m - j - 1.0)
 
 
 @dataclass
@@ -232,10 +238,13 @@ def is_so21(model) -> So21Check:
 
 
 def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Spectrum:
-    """Spectrum through the algebra route: sector m hosts the family member
-    with a₀ = m - 1/2, and E_n is the catalog's closed form n·(2a₀ - n).
-
-    Only defined for models in the SO(2,1) class.
+    """Spectrum through the algebra route, for SO(2,1) models only: sector m
+    hosts the member a₀ = m - 1/2, and level n is |j = n - m, m⟩ in the D⁺
+    multiplet ``classify(n - m, m - n)`` with bottom m₀ = m - n. Its energy
+    is the Casimir form m² - m - j(j+1) = n·((m - 1) + m₀), one rounding in the sum;
+    the step count n stands for m + j, which loses n once m > 2⁵³. Levels
+    run while the bottom member a = m₀ - 1/2 is bound (n below
+    max_bound_states at a₀), where j < -1/2: every label is D⁺.
     """
     model = get_model(model)
     check = is_so21(model)
@@ -246,6 +255,6 @@ def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Sp
     a0 = m - 0.5
     p0 = ParameterPoint(a0, aux or {})
     n_levels = min(n_max, max_bound_states(model, p0))
-    energies = [model.energy(p0, n) for n in range(n_levels)]
+    energies = [n * ((m - 1.0) + classify(n - m, m - n).m0) for n in range(n_levels)]
     points = [p0.with_a(a0 - k) for k in range(n_levels)]
     return Spectrum(model.id, p0, energies, points)

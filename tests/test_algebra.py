@@ -7,6 +7,7 @@ from sips import (
     Grid,
     NotSO21Error,
     ParameterPoint,
+    RepClass,
     SampledFunction,
     SectorFunction,
     algebra_spectrum,
@@ -22,6 +23,7 @@ from sips import (
     spectrum,
     spectrum_by_shape_invariance,
 )
+from sips import algebra, unireps
 from sips.algebra import gaussian_suite
 
 
@@ -149,6 +151,32 @@ def test_energy_from_algebra_values():
 def test_energy_vanishes_on_ground_label(m):
     # j = m - 1 makes |j, m> the zero-energy state of its sector
     assert energy_from_algebra(m, m - 1.0) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_energy_from_algebra_exact_at_large_m():
+    # m² - m - j(j+1) cancels to 4000000000 here; (m + j)(m - j - 1) is exact
+    m = 1e9 + 0.5
+    assert energy_from_algebra(m, 2.0 - m) == 3999999996.0
+
+
+@given(m=st.floats(0.5, 1e200, exclude_min=True), n_max=st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_algebra_route_labels_are_d_plus(m, n_max):
+    # level n of sector m is the bound-below multiplet whose bottom is m - n
+    labels = []
+
+    def recording(j, m0):
+        labels.append((j, m0, unireps.classify(j, m0)))
+        return labels[-1][2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "classify", recording)
+        spec = algebra_spectrum("scarf", m, n_max, {"B": 1.0})
+    assert len(labels) == len(spec)
+    for n, (j, m0, label) in enumerate(labels):
+        assert (j, m0) == (n - m, m - n)
+        assert label.rep_class is RepClass.D_PLUS
+        assert label.m0 == m - n
 
 
 def test_algebra_spectrum_scarf():

@@ -877,6 +877,79 @@ def test_spectrum_huge_a_does_not_overflow(capsys):
     assert "0  2e+200  4e+200" in out
 
 
+@pytest.mark.parametrize(
+    "model_id,params,levels,discrepancy",
+    [("scarf", "a=5514385.8263,B=1", "10", "7.451e-09"), ("poschl_teller", "a=123456.789", "40", "3.725e-09")],
+)
+def test_spectrum_routes_agree_within_rounding(capsys, model_id, params, levels, discrepancy):
+    # the partial sums of R round in proportion to the level they reach: past
+    # an absolute 1e-9 here, within 16·eps·n·|E_n|
+    code, out, err = run(
+        capsys, "spectrum", "--model", model_id, "--params", params, "--levels", levels, "--route", "both"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"max discrepancy: {discrepancy}"
+
+
+_SO21_FAMILIES = st.one_of(
+    st.tuples(st.just("scarf"), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("morse"), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    st.tuples(st.just("poschl_teller"), st.none()),
+)
+
+
+# The slowest draw measured 15 ms (1000 levels, 2-core host); the bound leaves
+# a hundred times that for slower hosts.
+@given(family=_SO21_FAMILIES, exponent=st.floats(-0.2, 12), levels=st.integers(1, 1000))
+@settings(max_examples=200, deadline=1500)
+def test_spectrum_routes_agree_on_so21_families(family, exponent, levels):
+    model_id, b = family
+    params = f"a={10.0**exponent!r}" + ("" if b is None else f",B={b!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["spectrum", "--model", model_id, "--params", params, "--levels", str(levels),
+                     "--route", "both"])
+    assert (code, err.getvalue()) == (0, ""), out.getvalue()[-200:]
+
+
+def test_algebra_route_does_not_read_the_closed_form(capsys, monkeypatch):
+    import dataclasses
+
+    from sips import catalog
+
+    argv = ["spectrum", "--model", "scarf", "--params", "a=5514385.8263,B=1", "--levels", "10"]
+    argvs = [argv + ["--route", route, "--format", fmt] for route in ("algebra", "both") for fmt in ("text", "json")]
+    expected = [run(capsys, *a) for a in argvs]
+
+    def unread(p, n):
+        raise AssertionError("the catalog's closed form was read")
+
+    monkeypatch.setitem(catalog.MODELS, "scarf", dataclasses.replace(catalog.MODELS["scarf"], energy=unread))
+    assert [run(capsys, *a) for a in argvs] == expected
+
+
+@pytest.mark.parametrize("a", ["3", "5514385.8263"])
+def test_spectrum_routes_disagree_on_remainder_off_between_probes(capsys, monkeypatch, a):
+    # R off by 1e-4 everywhere is_so21 does not probe: the model still joins
+    # the SO(2,1) class, and the sums of R part from the algebra's levels
+    import dataclasses
+
+    from sips import algebra, catalog
+
+    scarf = catalog.MODELS["scarf"]
+
+    def off(p):
+        return scarf.remainder(p) + (0.0 if p.a in algebra._R_PROBES else 1e-4)
+
+    monkeypatch.setitem(catalog.MODELS, "scarf", dataclasses.replace(scarf, remainder=off))
+    assert algebra.is_so21("scarf")
+    code, out, err = run(
+        capsys, "spectrum", "--model", "scarf", "--params", f"a={a},B=1", "--levels", "10", "--route", "both"
+    )
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "ROUTE DISAGREEMENT beyond the rounding floor 16*eps*n*|E_n|"
+
+
 def test_wavefunction_huge_a_is_usage_error(capsys):
     # E_0 no longer overflows; V- = W² does, and the referee rejects it
     code, out, err = run(
