@@ -47,7 +47,7 @@ for n, energy in enumerate(alg.energies):
     label = classify(n - 3.5, 3.5 - n)
     print(f"  E_{n} = {energy:g}   (j = {label.j:g}, m0 = {label.m0:g}, {label.rep_class.value})")
 print(f"  max discrepancy between routes: "
-      f"{np.max(np.abs(spec.energies - alg.energies)):.2e}")
+      f"{np.max(np.abs(np.asarray(spec.energies) - alg.energies)):.2e}")
 
 print("\n== referee: finite-difference eigensolver ==")
 numeric = spectrum("scarf", p, grid, 3)

@@ -24,20 +24,24 @@ g' = ±f'' - W'·f - W·f', from W and W' alone, as the susy ladder carries
 The spectrum is read off representation labels (``unireps``): level n of
 sector m is |j = n - m, m⟩ in the D⁺ multiplet with bottom m₀ = m - n, at
 the energy m² - m - j(j+1), which ``spectrum --route both`` sets against Σ R.
+That route is scalar, so importing the module loads no numpy; the jet and
+closure functions import it when they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING
 
 from .catalog import ParameterPoint, _partner_potential, get_model, max_bound_states
 from .errors import NotSO21Error
 from .grids import Grid, SampledFunction
 from .susy import _ROUNDING_FLOOR, Spectrum
 from .unireps import classify
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 __all__ = [
     "SectorFunction",
@@ -68,6 +72,8 @@ class SectorFunction:
     derivatives: tuple[NDArray[np.float64], ...] = ()
 
     def __post_init__(self):
+        import numpy as np
+
         self.derivatives = tuple(np.asarray(d, dtype=float) for d in self.derivatives)
         # the ladder knows W and W' only, so it can carry no derivative past f''
         if len(self.derivatives) > 2 or any(d.shape != self.f.values.shape for d in self.derivatives):
@@ -77,6 +83,8 @@ class SectorFunction:
 def gaussian_suite(grid: Grid, m: float) -> dict[str, SectorFunction]:
     """The closure checks' test functions on sector m, each with its
     closed-form f' and f'': e^{-x²}, x·e^{-x²} and e^{-(x-1)²/2}."""
+    import numpy as np
+
     x = grid.x
     g = np.exp(-(x**2))
     u = x - 1.0
@@ -106,6 +114,8 @@ def apply_j3(s: SectorFunction) -> SectorFunction:
 
 
 def _apply_ladder(model, s: SectorFunction, p: ParameterPoint | None, sign: float) -> SectorFunction:
+    import numpy as np
+
     if not s.derivatives:
         raise ValueError("the test function's jet has no derivative left for a ladder step")
     model = get_model(model)
@@ -128,6 +138,8 @@ def apply_j_minus(model, s: SectorFunction, p: ParameterPoint | None = None) -> 
 
 
 def _l2(values: NDArray[np.float64]) -> float:
+    import numpy as np
+
     return float(np.linalg.norm(values))
 
 
@@ -166,6 +178,8 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
     what rounding alone can give these residuals (verify_shape_invariance's
     floor) and commutator_j3_residual's (j₃ scales the jet by m).
     """
+    import numpy as np
+
     model = get_model(model)
     grid = s.f.grid
     f = s.f.values
@@ -242,9 +256,10 @@ def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Sp
     hosts the member a₀ = m - 1/2, and level n is |j = n - m, m⟩ in the D⁺
     multiplet ``classify(n - m, m - n)`` with bottom m₀ = m - n. Its energy
     is the Casimir form m² - m - j(j+1) = n·((m - 1) + m₀), one rounding in the sum;
-    the step count n stands for m + j, which loses n once m > 2⁵³. Levels
-    run while the bottom member a = m₀ - 1/2 is bound (n below
-    max_bound_states at a₀), where j < -1/2: every label is D⁺.
+    the step count n stands for m + j, which loses n once m > 2⁵³. Level 0,
+    the bottom of the multiplet, is 0 exactly, also where (m - 1) + m₀
+    overflows. Levels run while the bottom member a = m₀ - 1/2 is bound (n
+    below max_bound_states at a₀), where j < -1/2: every label is D⁺.
     """
     model = get_model(model)
     check = is_so21(model)
@@ -255,6 +270,7 @@ def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Sp
     a0 = m - 0.5
     p0 = ParameterPoint(a0, aux or {})
     n_levels = min(n_max, max_bound_states(model, p0))
-    energies = [n * ((m - 1.0) + classify(n - m, m - n).m0) for n in range(n_levels)]
+    labels = [classify(n - m, m - n) for n in range(n_levels)]
+    energies = [n * ((m - 1.0) + label.m0) if n else 0.0 for n, label in enumerate(labels)]
     points = [p0.with_a(a0 - k) for k in range(n_levels)]
     return Spectrum(model.id, p0, energies, points)

@@ -6,6 +6,8 @@ shift a → a + δ the partner reproduces the original shape up to an additive
 remainder R(a), and the bound-state energies follow as partial sums of R
 (E₀ = 0 by construction). The catalog stores W, W' and ∫W in closed form,
 the shift δ, R, the closed-form energies, and parameter-validity rules.
+Only W, W' and ∫W take arrays, and they import numpy when they run: the rest
+is scalar, so importing the catalog loads no numpy.
 
 Shipping entries:
 
@@ -27,12 +29,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import InvalidParameterError, LevelOutOfRangeError
 from .grids import Grid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ParameterPoint",
@@ -127,31 +130,43 @@ def _sip_remainder(p: ParameterPoint) -> float:
 
 
 def _log_cosh(x):
+    import numpy as np
+
     # ln cosh x = |x| + ln(1 + e^(-2|x|)) - ln 2, finite wherever x is
     ax = np.abs(np.asarray(x, dtype=float))
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
 def _scarf_w(x, p: ParameterPoint):
+    import numpy as np
+
     return p.a * np.tanh(x) + p.get("B") / np.cosh(x)
 
 
 def _scarf_w_prime(x, p: ParameterPoint):
+    import numpy as np
+
     sech = 1.0 / np.cosh(x)
     return p.a * sech**2 - p.get("B") * sech * np.tanh(x)
 
 
 def _scarf_w_integral(x, p: ParameterPoint):
+    import numpy as np
+
     # ∫sech x dx = gd(x) = 2·arctan(tanh(x/2))
     x = np.asarray(x, dtype=float)
     return p.a * _log_cosh(x) + 2.0 * p.get("B") * np.arctan(np.tanh(0.5 * x))
 
 
 def _poschl_teller_w(x, p: ParameterPoint):
+    import numpy as np
+
     return p.a * np.tanh(x)
 
 
 def _poschl_teller_w_prime(x, p: ParameterPoint):
+    import numpy as np
+
     return p.a / np.cosh(x) ** 2
 
 
@@ -160,27 +175,39 @@ def _poschl_teller_w_integral(x, p: ParameterPoint):
 
 
 def _morse_w(x, p: ParameterPoint):
+    import numpy as np
+
     return p.a - p.get("B") * np.exp(-np.asarray(x, dtype=float))
 
 
 def _morse_w_prime(x, p: ParameterPoint):
+    import numpy as np
+
     return p.get("B") * np.exp(-np.asarray(x, dtype=float))
 
 
 def _morse_w_integral(x, p: ParameterPoint):
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     return p.a * x + p.get("B") * np.exp(-x)
 
 
 def _oscillator_w(x, p: ParameterPoint):
+    import numpy as np
+
     return np.asarray(x, dtype=float)
 
 
 def _oscillator_w_prime(x, p: ParameterPoint):
+    import numpy as np
+
     return np.ones_like(np.asarray(x, dtype=float))
 
 
 def _oscillator_w_integral(x, p: ParameterPoint):
+    import numpy as np
+
     return 0.5 * np.asarray(x, dtype=float) ** 2
 
 

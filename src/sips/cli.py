@@ -20,9 +20,10 @@ JSON document, text), and main writes the document for --format json and
 the text otherwise, both through _emit.
 
 Each command imports the library modules it uses when it runs, so the module
-itself loads only the standard library: `reps classify` and `reps enumerate`
-never import numpy, and only `verify` imports scipy, inside the referee:
-top-level scipy and its LAPACK extension, never `scipy.linalg`.
+itself loads only the standard library. The four scalar commands, `list`,
+`spectrum`, `reps classify` and `reps enumerate`, never import numpy, and
+only `verify` imports scipy, inside the referee: top-level scipy and its
+LAPACK extension, never `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -187,8 +188,6 @@ def cmd_list(args) -> tuple:
 
 
 def cmd_spectrum(args) -> tuple:
-    import numpy as np
-
     from . import algebra as alg
     from . import export, susy
     from .catalog import get_model
@@ -215,13 +214,12 @@ def cmd_spectrum(args) -> tuple:
         lines.append(f"algebra (m={m_value:g}): {export.format_energies(algebra_spec.energies)}")
     exit_code = 0
     if route == "both":
-        n = min(len(shape_spec), len(algebra_spec))
-        reference = algebra_spec.energies[:n]
-        gaps = np.abs(shape_spec.energies[:n] - reference)
-        payload["max_discrepancy"] = float(np.max(gaps))
+        reference = algebra_spec.energies
+        gaps = [abs(shape - e) for shape, e in zip(shape_spec.energies, reference)]
+        payload["max_discrepancy"] = max(gaps)
         lines.append(f"max discrepancy: {payload['max_discrepancy']:.3e}")
         # a partial sum of n positive terms rounds by about n·eps·E_n
-        if np.any(gaps > susy._ROUNDING_FLOOR * np.arange(n) * np.abs(reference)):
+        if any(gap > susy._ROUNDING_FLOOR * n * abs(e) for n, (gap, e) in enumerate(zip(gaps, reference))):
             lines.append("ROUTE DISAGREEMENT beyond the rounding floor 16*eps*n*|E_n|")
             exit_code = 1
     return exit_code, payload, "\n".join(lines)

@@ -2,14 +2,20 @@
 
 Nothing here differentiates: every derivative the package uses is in closed
 form (W' in the catalog, the ladder's (ψ, ψ'), the algebra's jets).
+
+Importing the module loads no numpy: a Grid is checked with ``math``, and
+the functions that sample or read arrays import numpy when they run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.typing import NDArray
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 
 @dataclass(frozen=True)
@@ -26,7 +32,7 @@ class Grid:
         # the referee's second difference divides by h², so h² and 1/h² must
         # be finite; a finite h² implies finite bounds
         h2 = self.h * self.h
-        if not (self.x_min < self.x_max and np.isfinite(h2) and h2 > 0.0 and np.isfinite(1.0 / h2)):
+        if not (self.x_min < self.x_max and math.isfinite(h2) and h2 > 0.0 and math.isfinite(1.0 / h2)):
             raise ValueError(
                 f"need finite x_min < x_max and finite h² and 1/h², got "
                 f"[{self.x_min}, {self.x_max}], h={self.h}"
@@ -38,6 +44,8 @@ class Grid:
 
     @property
     def x(self) -> NDArray[np.float64]:
+        import numpy as np
+
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
@@ -50,6 +58,8 @@ class SampledFunction:
     values: NDArray[np.float64] = field(repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_points,):
             raise ValueError(
@@ -61,11 +71,15 @@ class SampledFunction:
 
     def norm(self) -> float:
         """Trapezoidal L2 norm on the grid."""
+        import numpy as np
+
         return float(np.sqrt(np.trapezoid(self.values**2, dx=self.grid.h)))
 
     def normalized(self) -> "SampledFunction":
         """The state convention shared by every route: unit trapezoidal norm,
         sign chosen so the first value above 1% of the peak is positive."""
+        import numpy as np
+
         n = self.norm()
         if not np.isfinite(n) or n == 0.0:
             raise ValueError(f"cannot normalize: norm is {n}")
@@ -84,6 +98,8 @@ def node_count(f: SampledFunction) -> int:
     Values with ``|value| <= _NODE_THRESHOLD * max|f|`` are ignored so that
     numerical noise in the exponential tails does not register as nodes.
     """
+    import numpy as np
+
     vals = f.values
     peak = np.max(np.abs(vals))
     if peak == 0.0:

@@ -7,14 +7,17 @@ a_k = a₀ + k·δ, and the n-th wavefunction is a chain of raising operators
 chain carries (ψ, ψ′) and takes no derivative on the grid. With W = W(x; a_k),
 the step at a_k is ψₖ = W·ψ - ψ′ and ψₖ′ = ε·ψ - W·ψₖ, exact because ψ solves
 H+(a_k) = (d/dx + W)(-d/dx + W) at the energy ε = Σ_{j≥k} R(a_j).
+
+The spectrum is scalar work, a tuple of floats, so importing the module
+loads no numpy; the identity check and the ladder import it when they run.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING
 
 from .catalog import (
     ParameterPoint,
@@ -26,6 +29,10 @@ from .catalog import (
     potential_plus,
 )
 from .grids import Grid, SampledFunction, node_count
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 __all__ = [
     "Spectrum",
@@ -46,24 +53,26 @@ class Spectrum:
 
     model_id: str
     p0: ParameterPoint
-    energies: NDArray[np.float64]
+    energies: tuple[float, ...]
     level_params: list[ParameterPoint]
 
     def __post_init__(self):
-        self.energies = np.asarray(self.energies, dtype=float)
-        if self.energies.size == 0 or self.energies[0] != 0.0:
+        self.energies = tuple(map(float, self.energies))
+        if not self.energies or self.energies[0] != 0.0:
             raise ValueError("bound spectra start at exactly E = 0")
-        if np.any(np.diff(self.energies) <= 0):
+        # a difference, not b <= a: levels that overflow to inf are left for
+        # the report's finiteness check to name
+        if any(b - a <= 0 for a, b in zip(self.energies, self.energies[1:])):
             raise ValueError("bound-state energies must increase strictly")
 
     def __len__(self) -> int:
-        return self.energies.size
+        return len(self.energies)
 
     def to_dict(self) -> dict:
         return {
             "model": self.model_id,
             "params": self.p0.as_dict(),
-            "energies": self.energies.tolist(),
+            "energies": list(self.energies),
             "level_a": [p.a for p in self.level_params],
         }
 
@@ -79,16 +88,16 @@ def shift_params(model, p0: ParameterPoint, k: int) -> ParameterPoint:
 def spectrum_by_shape_invariance(model, p0: ParameterPoint, n_max: int) -> Spectrum:
     """Spectrum from the shape-invariance recursion, truncated to the bound range.
 
-    energies[n] = Σ_{k<n} R(a_k); the ground level is exactly 0.
+    energies[n] = Σ_{k<n} R(a_k); the ground level is exactly 0. The sums run
+    left to right, as numpy's cumsum adds them.
     """
     model = get_model(model)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     n_levels = min(n_max, max_bound_states(model, p0))
     points = [shift_params(model, p0, k) for k in range(n_levels)]
-    energies = np.zeros(n_levels)
-    if n_levels > 1:
-        energies[1:] = np.cumsum([model.remainder(p) for p in points[:-1]])
+    remainders = (model.remainder(p) for p in points[:-1])
+    energies = itertools.accumulate(remainders, initial=0.0) if points else ()
     return Spectrum(model.id, p0, energies, points)
 
 
@@ -109,10 +118,14 @@ class ShapeInvarianceReport:
 
     @property
     def max_residual(self) -> float:
+        import numpy as np
+
         return float(np.max(self.residuals, initial=0.0))
 
     @property
     def max_excess(self) -> float:
+        import numpy as np
+
         return float(np.max(self.excess, initial=0.0))
 
     def to_dict(self) -> dict:
@@ -132,7 +145,7 @@ class ShapeInvarianceReport:
 # the residual there is rounding. 16·eps times
 # |V+| + |V-| + |R| at a point bounds that rounding with room to spare; in
 # the well it is ~1e-14, so a wrong identity still shows at full sensitivity.
-_ROUNDING_FLOOR = 16.0 * np.finfo(float).eps
+_ROUNDING_FLOOR = 16.0 * sys.float_info.epsilon
 
 
 def verify_shape_invariance(
@@ -146,6 +159,8 @@ def verify_shape_invariance(
     |V+(x, a_k)| + |V-(x, a_{k+1})| + |R(a_k)|. All parameter points through
     a_{k_max} must be valid (InvalidParameterError otherwise).
     """
+    import numpy as np
+
     model = get_model(model)
     grid = grid or default_grid(model)
     points = [shift_params(model, p0, k) for k in range(k_max + 1)]
@@ -178,6 +193,8 @@ def excited_state_by_ladder(
     module docstring derives; n = 0 returns the ground state itself,
     normalized as every state is (SampledFunction.normalized).
     """
+    import numpy as np
+
     model = get_model(model)
     grid = grid or default_grid(model)
     _require_level(model, p0, n)

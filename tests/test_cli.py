@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
@@ -653,6 +653,10 @@ def test_import_sips_loads_no_numpy():
     assert loaded.stdout == "[]\n"
 
 
+# the library module each scalar command runs on, imported when it runs
+_SCALAR_MODULE = {"reps": "sips.unireps", "list": "sips.catalog", "spectrum": "sips.algebra"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -660,25 +664,44 @@ def test_import_sips_loads_no_numpy():
         ["reps", "classify", "--j", "1.0", "--m0", "0.25", "--format", "json"],
         ["reps", "enumerate", "--j", "-1.5", "--m0", "1.5", "--count", "5"],
         ["reps", "enumerate", "--j", "-0.625", "--m0", "0.125", "--format", "json"],
+        ["list"],
+        ["list", "--format", "json"],
+        ["list", "--out", "OUT"],
+        ["spectrum", "--model", "scarf", "--params", "a=3,B=1"],
+        ["spectrum", "--model", "oscillator", "--levels", "5", "--format", "json"],
+        ["spectrum", "--model", "poschl_teller", "--route", "algebra", "--m", "4.5"],
+        ["spectrum", "--model", "morse", "--params", "a=3,B=1", "--route", "algebra", "--format", "json"],
+        ["spectrum", "--model", "scarf", "--params", "a=5514385.8263,B=1", "--levels", "10", "--route", "both"],
+        ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both", "--format", "json",
+         "--out", "OUT"],
     ],
 )
-def test_scalar_reps_commands_load_no_numpy(argv):
+def test_scalar_reps_commands_load_no_numpy(tmp_path, argv):
+    out = tmp_path / "report.txt"
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
     # -X importtime names every module the process imports, one per stderr line
     proc = _cold("-X", "importtime", "-m", "sips.cli", *argv)
     assert proc.returncode == 0
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-    assert "sips.unireps" in imported
+    assert _SCALAR_MODULE[argv[0]] in imported
     assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")]
+    if "--out" in argv:
+        assert out.read_text() == _cold("-m", "sips.cli", *argv[:-2]).stdout
 
 
 def test_numeric_commands_after_numpy_free_command(capsys):
-    # one process: the first numpy import happens inside `reps region-grid`
+    # one process: `spectrum` loads the catalog, susy and algebra modules
+    # without numpy, the first numpy import happens inside `reps region-grid`,
+    # and verify and wavefunction then run on the modules spectrum loaded
+    classify = ["reps", "classify", "--j", "-1.5", "--m0", "1.5"]
+    spectrum = ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both"]
     raster = ["reps", "region-grid", "--j", "-4:1:0.25", "--m", "-4:4:0.25"]
     verify = ["verify", "--model", "scarf", "--params", "a=3,B=1"]
+    wavefunction = ["wavefunction", "--model", "scarf", "--params", "a=3,B=1", "--n", "2", "--format", "json"]
     script = (
         "import contextlib, io, json, sys, sips.cli\n"
         "results = []\n"
-        f"for argv in {[['reps', 'classify', '--j', '-1.5', '--m0', '1.5'], raster, verify]!r}:\n"
+        f"for argv in {[classify, spectrum, raster, verify, wavefunction]!r}:\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
         "        rc = sips.cli.main(argv)\n"
@@ -687,11 +710,13 @@ def test_numeric_commands_after_numpy_free_command(capsys):
     )
     proc = _cold("-c", script)
     assert proc.stderr == ""
-    (classify_rc, classified, numpy_after_classify), raster_result, verify_result = json.loads(proc.stdout)
-    assert (classify_rc, classified, numpy_after_classify) == (0, "D_plus\n", False)
-    assert raster_result[:2] == list(run(capsys, *raster)[:2])
-    assert verify_result[:2] == list(run(capsys, *verify)[:2])
-    assert verify_result[1].splitlines()[-1] == "PASS"
+    results = json.loads(proc.stdout)
+    assert [numpy_loaded for *_, numpy_loaded in results] == [False, False, True, True, True]
+    assert results[0][:2] == [0, "D_plus\n"]
+    for argv, result in zip([spectrum, raster, verify, wavefunction], results[1:]):
+        assert result[:2] == list(run(capsys, *argv)[:2])
+    assert results[1][1].splitlines()[0] == "shape-invariance: 0  5  8"
+    assert results[3][1].splitlines()[-1] == "PASS"
 
 
 # every name `import sips` exports: those it bound before the exports became
@@ -910,6 +935,33 @@ def test_spectrum_routes_agree_on_so21_families(family, exponent, levels):
         code = main(["spectrum", "--model", model_id, "--params", params, "--levels", str(levels),
                      "--route", "both"])
     assert (code, err.getvalue()) == (0, ""), out.getvalue()[-200:]
+
+
+# Values from which the first level overflows: 2a - 1 on the shape route, 2m - 2 on the algebra's.
+_OVERFLOWING = st.floats(9e307, 1.7976931348623157e308)
+
+
+@given(
+    model_id=st.sampled_from(["scarf", "poschl_teller", "morse"]),
+    a=st.one_of(st.floats(0.5, 1e6), _OVERFLOWING),
+    m=st.one_of(st.none(), st.floats(1.0, 1e6), _OVERFLOWING),
+    fmt=st.sampled_from(["text", "json"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_spectrum_overflowing_route_gap_is_usage_error(model_id, a, m, fmt):
+    # a level that overflows in one route leaves an inf gap to the other, or a
+    # nan one (inf - inf) when both do: one line naming the level, exit 2
+    if m is None:
+        m = a + 0.5
+    assume(max(a, m) >= 9e307)
+    params = f"a={a!r}" + ("" if model_id == "poschl_teller" else ",B=1")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["spectrum", "--model", model_id, "--params", params, "--m", repr(m),
+                     "--route", "both", "--format", fmt])
+    route = "shape_invariance" if a >= 9e307 else "algebra"
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: report field {route}.energies[1] is inf, not a finite number\n"
 
 
 def test_algebra_route_does_not_read_the_closed_form(capsys, monkeypatch):
@@ -1361,9 +1413,16 @@ def test_json_reports_are_strict_json(capsys, argv):
          "checks[0].residuals.j3_commutator_plus"),
         (["spectrum", "--model", "morse", "--params", "a=1e308,B=1e308"],
          "shape_invariance.energies[1]"),
+        (["spectrum", "--model", "poschl_teller", "--route", "algebra", "--m", "1e308"],
+         "algebra.energies[1]"),
+        (["spectrum", "--model", "scarf", "--params", "a=1e308,B=1", "--route", "algebra"],
+         "algebra.energies[1]"),
+        (["spectrum", "--model", "scarf", "--params", "a=1e308,B=1", "--route", "both"],
+         "shape_invariance.energies[1]"),
         (["reps", "classify", "--j", "1e308", "--m0", "1e308"], "casimir"),
     ],
-    ids=["algebra-check", "spectrum", "reps-classify"],
+    ids=["algebra-check", "spectrum", "spectrum-algebra-m", "spectrum-algebra-a", "spectrum-both",
+         "reps-classify"],
 )
 def test_overflowing_report_is_usage_error(capsys, argv, field, fmt):
     # accepted inputs whose results overflow: JSON has no Infinity, so each

@@ -55,6 +55,24 @@ def test_spectrum_recursion_values(scarf_p):
     assert np.allclose(osc.energies, [0.0, 2.0, 4.0, 6.0], atol=0)
 
 
+@given(
+    model_id=st.sampled_from(["scarf", "poschl_teller", "morse", "oscillator"]),
+    exponent=st.floats(-0.2, 12),
+    levels=st.integers(1, 1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_spectrum_sums_as_numpy_cumsum(model_id, exponent, levels):
+    # the partial sums run left to right from an exact 0, the order numpy's
+    # cumsum adds in, so the levels are the same floats bit for bit
+    p = ParameterPoint(10.0**exponent, {"B": 1.0})
+    spec = spectrum_by_shape_invariance(model_id, p, levels)
+    model = get_model(model_id)
+    remainders = [model.remainder(shift_params(model, p, k)) for k in range(len(spec) - 1)]
+    expected = np.concatenate([[0.0], np.cumsum(remainders)])
+    assert type(spec.energies) is tuple and {type(e) for e in spec.energies} == {float}
+    assert np.array(spec.energies).tobytes() == expected.tobytes()
+
+
 def test_spectrum_truncates_at_bound_count(scarf_p):
     spec = spectrum_by_shape_invariance("scarf", scarf_p, 99)
     assert len(spec) == 3
