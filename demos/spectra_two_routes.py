@@ -42,9 +42,10 @@ for n, (energy, pk) in enumerate(zip(spec.energies, spec.level_params)):
     print(f"  E_{n} = {energy:g}   (a_{n} = {pk.a:g})")
 
 print("\n== route 2: the SO(2,1) ladder at m = a0 + 1/2 ==")
-alg = algebra_spectrum("scarf", 3.5, 3, {"B": 1.0})
+alg = algebra_spectrum("scarf", p, 3)
+m = p.a + 0.5
 for n, energy in enumerate(alg.energies):
-    label = classify(n - 3.5, 3.5 - n)
+    label = classify(n - m, m - n)
     print(f"  E_{n} = {energy:g}   (j = {label.j:g}, m0 = {label.m0:g}, {label.rep_class.value})")
 print(f"  max discrepancy between routes: "
       f"{np.max(np.abs(np.asarray(spec.energies) - alg.energies)):.2e}")

@@ -21,9 +21,10 @@ Nothing is differentiated on the grid: a test function is carried as its jet
 g' = ±f'' - W'·f - W·f', from W and W' alone, as the susy ladder carries
 (ψ, ψ'). The checks below therefore measure the algebra to within rounding.
 
-The spectrum is read off representation labels (``unireps``): level n of
-sector m is |j = n - m, m⟩ in the D⁺ multiplet with bottom m₀ = m - n, at
-the energy m² - m - j(j+1), which ``spectrum --route both`` sets against Σ R.
+The spectrum is read off representation labels (``unireps``): the member a
+sits in sector m = a + 1/2, and its level n is |j = n - m, m⟩ in the D⁺
+multiplet with bottom m₀ = m - n, at the energy m² - m - j(j+1), which
+``spectrum --route both`` sets against Σ R for the same member.
 That route is scalar, so importing the module loads no numpy; the jet and
 closure functions import it when they run.
 """
@@ -251,15 +252,15 @@ def is_so21(model) -> So21Check:
     return So21Check(model.id, True, "remainder linear with slope 2 and step -1", _R_PROBES, residuals)
 
 
-def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Spectrum:
-    """Spectrum through the algebra route, for SO(2,1) models only: sector m
-    hosts the member a₀ = m - 1/2, and level n is |j = n - m, m⟩ in the D⁺
-    multiplet ``classify(n - m, m - n)`` with bottom m₀ = m - n. Its energy
-    is the Casimir form m² - m - j(j+1) = n·((m - 1) + m₀), one rounding in the sum;
-    the step count n stands for m + j, which loses n once m > 2⁵³. Level 0,
-    the bottom of the multiplet, is 0 exactly, also where (m - 1) + m₀
-    overflows. Levels run while the bottom member a = m₀ - 1/2 is bound (n
-    below max_bound_states at a₀), where j < -1/2: every label is D⁺.
+def algebra_spectrum(model, p0: ParameterPoint, n_max: int) -> Spectrum:
+    """Spectrum of the member p0 through the algebra route, for SO(2,1) models
+    only: the member a = p0.a sits in sector m = a + 1/2, and level n is
+    |j = n - m, m⟩ in the D⁺ multiplet ``classify(n - m, m - n)`` with bottom
+    m₀ = m - n. Its energy is the Casimir form m² - m - j(j+1) = n·((m - 1) + m₀),
+    one rounding in the sum; the step count n stands for m + j, which loses n
+    once m > 2⁵³. Level 0, the bottom of the multiplet, is 0 exactly, also
+    where (m - 1) + m₀ overflows. Levels run while the bottom member a - n is
+    bound (n below max_bound_states at p0), where j < -1/2: every label is D⁺.
     """
     model = get_model(model)
     check = is_so21(model)
@@ -267,10 +268,9 @@ def algebra_spectrum(model, m: float, n_max: int, aux: dict | None = None) -> Sp
         raise NotSO21Error(f"{model.id}: {check.reason}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    a0 = m - 0.5
-    p0 = ParameterPoint(a0, aux or {})
+    m = p0.a + 0.5
     n_levels = min(n_max, max_bound_states(model, p0))
     labels = [classify(n - m, m - n) for n in range(n_levels)]
     energies = [n * ((m - 1.0) + label.m0) if n else 0.0 for n, label in enumerate(labels)]
-    points = [p0.with_a(a0 - k) for k in range(n_levels)]
+    points = [p0.with_a(p0.a - k) for k in range(n_levels)]
     return Spectrum(model.id, p0, energies, points)

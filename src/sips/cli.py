@@ -15,6 +15,13 @@ MAX_LEVEL_POINTS are rejected, so no input can ask for unbounded work. A
 that overflows: a report holding inf or nan is no JSON, so main exits 2
 naming the field instead, whatever the format.
 
+The member's a has one source per command. spectrum, verify and
+wavefunction read it from --params, and spectrum's algebra route runs in
+the member's sector m = a + 1/2. algebra check reads the sector index from
+--m, which sets a = m - 1/2, so its --params gives only the auxiliaries and
+an a there is rejected. Every parser reads an option only when it is spelled
+in full: no prefix of an option stands for it.
+
 Each cmd_* function computes and writes nothing: it returns (exit code,
 JSON document, text), and main writes the document for --format json and
 the text otherwise, both through _emit.
@@ -87,8 +94,9 @@ def parse_range_spec(spec: str) -> np.ndarray:
     return np.arange(lo, hi + 0.5 * step, step)
 
 
-def parse_params(model, text: str | None, default_a: float | None = None) -> ParameterPoint:
-    """Comma-separated key=value parameters, checked against the model."""
+def parse_params(model, text: str | None, fixed_a: float | None = None) -> ParameterPoint:
+    """Comma-separated key=value parameters, checked against the model. Given
+    fixed_a (algebra check's a = m - 1/2), the text holds only auxiliaries."""
     from .catalog import ParameterPoint, get_model
 
     model = get_model(model)
@@ -104,6 +112,8 @@ def parse_params(model, text: str | None, default_a: float | None = None) -> Par
             key = key.strip()
             if key in values:
                 raise ValueError(f"parameter {key!r} given more than once in --params")
+            if key == "a" and fixed_a is not None:
+                raise ValueError("parameter 'a' is set by --m (a = m - 1/2), not by --params")
             if key not in model.param_names:
                 raise ValueError(
                     f"unknown parameter {key!r} for model {model.id} "
@@ -111,8 +121,8 @@ def parse_params(model, text: str | None, default_a: float | None = None) -> Par
                 )
             values[key] = float(raw)
     if "a" not in values:
-        if default_a is not None:
-            values["a"] = default_a
+        if fixed_a is not None:
+            values["a"] = fixed_a
         elif model.id == "oscillator":
             values["a"] = 1.0  # a is inert for the degenerate shift
         else:
@@ -193,11 +203,8 @@ def cmd_spectrum(args) -> tuple:
     from .catalog import get_model
 
     model = get_model(args.model)
-    route, m_value, levels = args.route, args.m, args.levels
-    # The algebra route fixes a through the sector index, so a=... is only
-    # mandatory when the shape-invariance route runs or no --m was given.
-    default_a = m_value - 0.5 if (route == "algebra" and m_value is not None) else None
-    p = parse_params(model, args.params, default_a=default_a)
+    route, levels = args.route, args.levels
+    p = parse_params(model, args.params)
 
     payload: dict = {"model": model.id, "params": p.as_dict(), "route": route}
     lines = []
@@ -206,12 +213,11 @@ def cmd_spectrum(args) -> tuple:
         payload["shape_invariance"] = shape_spec.to_dict()
         lines.append(f"shape-invariance: {export.format_energies(shape_spec.energies)}")
     if route in ("algebra", "both"):
-        if m_value is None:
-            m_value = p.a + 0.5
-        algebra_spec = alg.algebra_spectrum(model, m_value, levels, dict(p.aux))
+        algebra_spec = alg.algebra_spectrum(model, p, levels)
+        m = p.a + 0.5  # the member's sector, as algebra_spectrum reads it
         payload["algebra"] = algebra_spec.to_dict()
-        payload["algebra"]["m"] = m_value
-        lines.append(f"algebra (m={m_value:g}): {export.format_energies(algebra_spec.energies)}")
+        payload["algebra"]["m"] = m
+        lines.append(f"algebra (m={m:g}): {export.format_energies(algebra_spec.energies)}")
     exit_code = 0
     if route == "both":
         reference = algebra_spec.energies
@@ -311,9 +317,11 @@ def cmd_algebra_check(args) -> tuple:
 
     model = get_model(args.model)
     m, tol = args.m, args.tol
+    if not math.isfinite(m):
+        raise ValueError(f"--m {m:g} must be a finite number")
     grid = _grid(args, model)
-    # a is fixed by the sector index; --params only supplies auxiliaries here
-    aux_p = parse_params(model, args.params, default_a=m - 0.5) if args.params else None
+    # sector m fixes a = m - 1/2; --params supplies only the auxiliaries
+    aux_p = parse_params(model, args.params, fixed_a=m - 0.5)
 
     worst = floor = 0.0
     reports = []
@@ -421,11 +429,12 @@ def cmd_reps_region_grid(args) -> tuple:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sp, model=True, fmt=("text", "json")) -> None:
+def _add_common(sp, model=True, grid=True, fmt=("text", "json")) -> None:
     if model:
         sp.add_argument("--model", help="catalog model id")
         sp.add_argument("--params", help="comma-separated key=value, e.g. a=3,B=1")
-        sp.add_argument("--grid", help="grid spec min:max:n (default per model)")
+        if grid:
+            sp.add_argument("--grid", help="grid spec min:max:n (default per model)")
     if fmt:
         sp.add_argument("--format", choices=fmt, default=fmt[0])
     sp.add_argument("--out", help="write output to this path (atomic)")
@@ -437,10 +446,9 @@ def _add_list(sp) -> None:
 
 
 def _add_spectrum(sp) -> None:
-    _add_common(sp)
+    _add_common(sp, grid=False)
     sp.add_argument("--levels", type=int, default=3)
     sp.add_argument("--route", choices=("shape", "algebra", "both"), default="shape")
-    sp.add_argument("--m", type=float, default=None, help="sector index (algebra route); default a+1/2")
     sp.set_defaults(func=cmd_spectrum)
 
 
@@ -500,12 +508,21 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an option only when it is spelled in full: a prefix such as --m
+    must not stand for --model. add_subparsers builds nested parsers with
+    type(self), so every parser of the tree is one of these."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The sips parser. Given the name of a command, only that command's
     subparser (for algebra and reps, its whole group) is built: enough to
     parse an argv that starts with that name, with the same result, usage
     lines and messages as the whole tree. Without one, every command is built."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sips",
         description="Bound-state spectra and wavefunctions of shape-invariant "
         "potentials, their SO(2,1) potential algebra, and a finite-difference "

@@ -159,10 +159,12 @@ def test_energy_from_algebra_exact_at_large_m():
     assert energy_from_algebra(m, 2.0 - m) == 3999999996.0
 
 
-@given(m=st.floats(0.5, 1e200, exclude_min=True), n_max=st.integers(1, 200))
+@given(a=st.floats(0.0, 1e200, exclude_min=True), n_max=st.integers(1, 200))
 @settings(max_examples=200, deadline=None)
-def test_algebra_route_labels_are_d_plus(m, n_max):
-    # level n of sector m is the bound-below multiplet whose bottom is m - n
+def test_algebra_route_labels_are_d_plus(a, n_max):
+    # level n of the member a, in sector m = a + 1/2, is the bound-below
+    # multiplet whose bottom is m - n
+    m = a + 0.5
     labels = []
 
     def recording(j, m0):
@@ -171,7 +173,7 @@ def test_algebra_route_labels_are_d_plus(m, n_max):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algebra, "classify", recording)
-        spec = algebra_spectrum("scarf", m, n_max, {"B": 1.0})
+        spec = algebra_spectrum("scarf", ParameterPoint(a, {"B": 1.0}), n_max)
     assert len(labels) == len(spec)
     for n, (j, m0, label) in enumerate(labels):
         assert (j, m0) == (n - m, m - n)
@@ -180,28 +182,28 @@ def test_algebra_route_labels_are_d_plus(m, n_max):
 
 
 def test_algebra_spectrum_scarf():
-    spec = algebra_spectrum("scarf", 3.5, 3, {"B": 1.0})
+    spec = algebra_spectrum("scarf", ParameterPoint(3.0, {"B": 1.0}), 3)
     assert np.allclose(spec.energies, [0.0, 5.0, 8.0], atol=0)
     assert spec.energies[0] == 0.0
 
 
-@pytest.mark.parametrize("m", [1e308, 9e307, 1.7976931348623157e308])
-def test_algebra_spectrum_ground_level_is_zero_where_levels_overflow(m):
+@pytest.mark.parametrize("a", [1e308, 9e307, 1.7976931348623157e308])
+def test_algebra_spectrum_ground_level_is_zero_where_levels_overflow(a):
     # (m - 1) + m₀ overflows, and level 0 is not 0·inf = nan: the spectrum
     # stands, and the report's finiteness check names the inf level
-    spec = algebra_spectrum("poschl_teller", m, 3)
+    spec = algebra_spectrum("poschl_teller", ParameterPoint(a), 3)
     assert spec.energies == (0.0, np.inf, np.inf)
 
 
 def test_algebra_spectrum_rejects_oscillator():
     with pytest.raises(NotSO21Error):
-        algebra_spectrum("oscillator", 2.0, 3)
+        algebra_spectrum("oscillator", ParameterPoint(1.5), 3)
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_both_routes_reject_empty_spectrum(n_max):
     with pytest.raises(ValueError, match="n_max must be >= 1"):
-        algebra_spectrum("scarf", 3.5, n_max)
+        algebra_spectrum("scarf", ParameterPoint(3.0, {"B": 1.0}), n_max)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         spectrum_by_shape_invariance("scarf", ParameterPoint(3.0, {"B": 1.0}), n_max)
 
@@ -219,22 +221,25 @@ def test_is_so21(model_id, expected):
 
 @pytest.mark.parametrize("m,a0,n", [(3.5, 3.0, 3), (5.5, 5.0, 5)])
 def test_two_routes_agree(m, a0, n):
-    by_shape = spectrum_by_shape_invariance("scarf", ParameterPoint(a0, {"B": 1.0}), n)
-    by_algebra = algebra_spectrum("scarf", m, n, {"B": 1.0})
+    # sector m hosts the member a0 = m - 1/2, and both routes take that member
+    p0 = ParameterPoint(a0, {"B": 1.0})
+    assert p0.a + 0.5 == m
+    by_shape = spectrum_by_shape_invariance("scarf", p0, n)
+    by_algebra = algebra_spectrum("scarf", p0, n)
     assert len(by_shape) == len(by_algebra) == n
     assert np.max(np.abs(np.asarray(by_shape.energies) - by_algebra.energies)) < 1e-12
 
 
 def test_two_routes_agree_poschl_teller():
     by_shape = spectrum_by_shape_invariance("poschl_teller", ParameterPoint(4.0), 4)
-    by_algebra = algebra_spectrum("poschl_teller", 4.5, 4)
+    by_algebra = algebra_spectrum("poschl_teller", ParameterPoint(4.0), 4)
     assert np.max(np.abs(np.asarray(by_shape.energies) - by_algebra.energies)) < 1e-12
 
 
 def test_sector_hamiltonian_spectrum_matches_oracle(ref_grid):
-    # the sector product j+j- is the member Hamiltonian at a = m - 1/2; its
-    # closed-form levels must match the eigensolver on that potential
-    m = 3.5
-    spec = algebra_spectrum("scarf", m, 3, {"B": 1.0})
-    numeric = spectrum("scarf", ParameterPoint(m - 0.5, {"B": 1.0}), ref_grid, 3)
+    # the sector product j+j- on sector m = a + 1/2 is the member Hamiltonian
+    # at a; its closed-form levels must match the eigensolver on that potential
+    p0 = ParameterPoint(3.0, {"B": 1.0})
+    spec = algebra_spectrum("scarf", p0, 3)
+    numeric = spectrum("scarf", p0, ref_grid, 3)
     assert np.max(np.abs(spec.energies - numeric)) < 2e-3

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
@@ -119,11 +119,14 @@ def test_spectrum_both_routes(capsys):
 
 
 def test_spectrum_algebra_route_without_params(capsys):
-    code, out, _ = run(
-        capsys, "spectrum", "--model", "scarf", "--route", "algebra", "--m", "3.5"
-    )
+    # the algebra route reads a from --params, as the shape route does, and
+    # runs in the member's sector m = a + 1/2
+    code, out, err = run(capsys, "spectrum", "--model", "scarf", "--route", "algebra")
+    usage_error(code, out, err)
+    assert err == "error: model scarf requires a=... in --params\n"
+    code, out, _ = run(capsys, "spectrum", "--model", "scarf", "--route", "algebra", "--params", "a=3")
     assert code == 0
-    assert "0  5  8" in out
+    assert out == "algebra (m=3.5): 0  5  8\n"
 
 
 def test_spectrum_algebra_route_rejects_oscillator(capsys):
@@ -669,7 +672,7 @@ _SCALAR_MODULE = {"reps": "sips.unireps", "list": "sips.catalog", "spectrum": "s
         ["list", "--out", "OUT"],
         ["spectrum", "--model", "scarf", "--params", "a=3,B=1"],
         ["spectrum", "--model", "oscillator", "--levels", "5", "--format", "json"],
-        ["spectrum", "--model", "poschl_teller", "--route", "algebra", "--m", "4.5"],
+        ["spectrum", "--model", "poschl_teller", "--route", "algebra", "--params", "a=4"],
         ["spectrum", "--model", "morse", "--params", "a=3,B=1", "--route", "algebra", "--format", "json"],
         ["spectrum", "--model", "scarf", "--params", "a=5514385.8263,B=1", "--levels", "10", "--route", "both"],
         ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both", "--format", "json",
@@ -876,6 +879,21 @@ def test_algebra_check_below_rounding_is_usage_error(capsys, model_id, m):
     assert f"cannot resolve tol 0.0001 at m={float(m):g}" in err
 
 
+@pytest.mark.parametrize("m", ["nan", "inf", "-inf"])
+def test_algebra_check_nonfinite_m_is_usage_error(capsys, m):
+    code, out, err = run(capsys, "algebra", "check", "--model", "scarf", "--m", m, "--params", "B=1")
+    usage_error(code, out, err)
+    assert err == f"error: --m {m} must be a finite number\n"
+
+
+@pytest.mark.parametrize("params", ["a=5,B=1", "B=1,a=5", "a=1.5"])
+def test_algebra_check_rejects_a_in_params(capsys, params):
+    # sector m fixes a = m - 1/2: an a in --params would be a second source
+    code, out, err = run(capsys, "algebra", "check", "--model", "scarf", "--m", "2", "--params", params)
+    usage_error(code, out, err)
+    assert err == "error: parameter 'a' is set by --m (a = m - 1/2), not by --params\n"
+
+
 def test_algebra_check_vanishing_test_function_is_usage_error(capsys):
     # every gaussian underflows to 0 on [100, 200]: no residual can be scaled by its norm
     code, out, err = run(capsys, "algebra", "check", "--model", "scarf", "--m", "2", "--grid", "100:200:101")
@@ -937,31 +955,59 @@ def test_spectrum_routes_agree_on_so21_families(family, exponent, levels):
     assert (code, err.getvalue()) == (0, ""), out.getvalue()[-200:]
 
 
-# Values from which the first level overflows: 2a - 1 on the shape route, 2m - 2 on the algebra's.
+@given(family=_SO21_FAMILIES, a=st.floats(0.0, 1e12, exclude_min=True), levels=st.integers(1, 50))
+@example(family=("scarf", 1.0), a=0.1, levels=3)
+@example(family=("morse", 1.0), a=5e-324, levels=3)
+@settings(max_examples=200, deadline=1500)
+def test_spectrum_routes_echo_the_members_a(family, a, levels):
+    # both routes take the member point from --params: the algebra block
+    # echoes the user's a and its ladder, and sits in sector m = a + 1/2
+    model_id, b = family
+    params = f"a={a!r}" + ("" if b is None else f",B={b!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["spectrum", "--model", model_id, "--params", params, "--levels", str(levels),
+                     "--route", "both", "--format", "json"])
+    assert (code, err.getvalue()) == (0, "")
+    payload = json.loads(out.getvalue())
+    shape, algebra = payload["shape_invariance"], payload["algebra"]
+    assert algebra["params"] == shape["params"] == payload["params"]
+    assert payload["params"]["a"] == a
+    assert algebra["level_a"] == shape["level_a"]
+    assert algebra["m"] == a + 0.5
+
+
+def test_spectrum_tiny_a_has_one_level(capsys):
+    # a + 1/2 - 1/2 rounds 1e-17 to 0, an invalid member; a itself is valid
+    code, out, err = run(capsys, "spectrum", "--model", "poschl_teller", "--params", "a=1e-17",
+                         "--route", "both", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    for route in ("shape_invariance", "algebra"):
+        assert payload[route]["energies"] == [0.0]
+        assert payload[route]["level_a"] == [1e-17]
+
+
+# Values from which the first level overflows: 2a - 1 on the shape route, and
+# 2m - 2 on the algebra's, which is 2a - 1 too in the sector m = a + 1/2.
 _OVERFLOWING = st.floats(9e307, 1.7976931348623157e308)
 
 
 @given(
     model_id=st.sampled_from(["scarf", "poschl_teller", "morse"]),
-    a=st.one_of(st.floats(0.5, 1e6), _OVERFLOWING),
-    m=st.one_of(st.none(), st.floats(1.0, 1e6), _OVERFLOWING),
+    a=_OVERFLOWING,
     fmt=st.sampled_from(["text", "json"]),
 )
 @settings(max_examples=200, deadline=None)
-def test_spectrum_overflowing_route_gap_is_usage_error(model_id, a, m, fmt):
-    # a level that overflows in one route leaves an inf gap to the other, or a
-    # nan one (inf - inf) when both do: one line naming the level, exit 2
-    if m is None:
-        m = a + 0.5
-    assume(max(a, m) >= 9e307)
+def test_spectrum_overflowing_route_gap_is_usage_error(model_id, a, fmt):
+    # the first level overflows in both routes, leaving a nan gap (inf - inf)
+    # between them: one line naming the first inf level, exit 2
     params = f"a={a!r}" + ("" if model_id == "poschl_teller" else ",B=1")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["spectrum", "--model", model_id, "--params", params, "--m", repr(m),
-                     "--route", "both", "--format", fmt])
-    route = "shape_invariance" if a >= 9e307 else "algebra"
+        code = main(["spectrum", "--model", model_id, "--params", params, "--route", "both", "--format", fmt])
     assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue() == f"error: report field {route}.energies[1] is inf, not a finite number\n"
+    assert err.getvalue() == "error: report field shape_invariance.energies[1] is inf, not a finite number\n"
 
 
 def test_algebra_route_does_not_read_the_closed_form(capsys, monkeypatch):
@@ -1211,6 +1257,13 @@ _PARSER_CORPUS = [
     ["list", "--format", "xml"], ["spectrum", "--levels", "x"], ["spectrum", *_SCARF, "--route", "up"],
     ["verify", "--tol", "abc"], ["reps", "enumerate", "--j", "1", "--m0", "0", "--count", "1.5"],
 ]
+# removed and abbreviated options: no prefix stands for an option, so
+# --m is not --model and --lev is not --levels
+_UNREAD_OPTIONS = [
+    ["verify", "--m", "scarf"], ["spectrum", "--lev", "2"], ["spectrum", *_SCARF, "--m", "4"],
+    ["spectrum", *_SCARF, "--grid", "-20:20:401"], ["algebra", "check", "--mod", "scarf", "--m", "2"],
+]
+_PARSER_CORPUS += _UNREAD_OPTIONS
 
 
 @pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=" ".join)
@@ -1223,6 +1276,15 @@ def test_main_parser_parses_as_whole_tree(capsys, argv):
     capsys.readouterr()
     assert len(built) == 1
     assert_parses_as_whole_tree(built[0], argv)
+
+
+@pytest.mark.parametrize("argv", _UNREAD_OPTIONS, ids=" ".join)
+def test_unread_options_are_rejected(argv):
+    argv = cli._normalize_argv(argv)
+    for parser in (cli.build_parser(argv[0]), cli.build_parser()):
+        code, out, err = _parse_outcome(parser, argv)
+        assert (code, out) == (2, "")
+        assert "error: unrecognized arguments: " in err
 
 
 @pytest.mark.parametrize(
@@ -1304,7 +1366,7 @@ def _argv(draw):
         argv += ["--levels", str(draw(_COUNTS))]
     if command == "spectrum":
         argv += ["--route", draw(st.sampled_from(["shape", "algebra", "both"]))]
-    if command in ("spectrum", "algebra"):
+    if command == "algebra":
         argv += ["--m", draw(_REALS)]
     if command == "wavefunction":
         argv += ["--n", str(draw(_COUNTS))]
@@ -1413,7 +1475,7 @@ def test_json_reports_are_strict_json(capsys, argv):
          "checks[0].residuals.j3_commutator_plus"),
         (["spectrum", "--model", "morse", "--params", "a=1e308,B=1e308"],
          "shape_invariance.energies[1]"),
-        (["spectrum", "--model", "poschl_teller", "--route", "algebra", "--m", "1e308"],
+        (["spectrum", "--model", "poschl_teller", "--route", "algebra", "--params", "a=1e308"],
          "algebra.energies[1]"),
         (["spectrum", "--model", "scarf", "--params", "a=1e308,B=1", "--route", "algebra"],
          "algebra.energies[1]"),
