@@ -1492,3 +1492,96 @@ def test_overflowing_report_is_usage_error(capsys, argv, field, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     usage_error(code, out, err)
     assert err == f"error: report field {field} is inf, not a finite number\n"
+
+
+def _params_help(command):
+    # the --params help of one command, read off its own parser
+    parser = cli.build_parser(command[0])
+    for name in command:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return next(a.help for a in parser._actions if "--params" in a.option_strings)
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [(["spectrum"], []), (["verify"], []), (["wavefunction"], ["--n", "0"]),
+     (["algebra", "check"], ["--m", "3.5"])],
+    ids=lambda value: " ".join(value),
+)
+def test_params_help_example_is_accepted(capsys, command, extra):
+    example = _params_help(command).rsplit("e.g. ", 1)[1]
+    code, _, err = run(capsys, *command, "--model", "scarf", "--params", example, *extra)
+    assert (code, err) == (0, "")
+
+
+# Inputs whose closed-form levels open no certified bisection windows. Each
+# takes the referee's unhinted solve and gives the output of a verify given
+# no hint: no window reaches dstebz that it refuses (VL >= VU) with a line of
+# its own on standard output, and nothing is written to stderr.
+_UNWINDOWED = [
+    # a half-width that rounds away next to E = 5 and 8, or E = 2 and 4
+    ["verify", *_SCARF, "--tol", "1e-17"],
+    ["verify", "--model", "oscillator", "--levels", "3", "--tol", "1e-300"],
+    # a top window that holds every level of the grid: its count exceeds k
+    # before anything is bisected
+    ["verify", *_SCARF, "--tol", "1e306"],
+    # level spacing 2 against half-widths of 3 (centred box, in each
+    # parity half) and 1.5 (off-centre box): the windows overlap
+    ["verify", "--model", "oscillator", "--levels", "5", "--tol", "3"],
+    ["verify", "--model", "oscillator", "--levels", "3", "--tol", "1.5", "--grid", "-10:9.5:1001"],
+    # windows that overlap only once an empty one is widened
+    ["verify", "--model", "poschl_teller", "--params", "a=9.12", "--levels", "6", "--tol", "0.01",
+     "--grid", "-7.2:11.9:201"],
+]
+
+
+def _hint_spy(monkeypatch, hint=None):
+    # count the unhinted solves; replace verify's hint with ``hint`` (a
+    # constant per level), or with none when hint is "none"
+    import sips.oracle
+
+    solve, spectrum = sips.oracle._stebz, sips.oracle.spectrum
+    solves = []
+
+    def counted(*args):
+        solves.append(args[2])
+        return solve(*args)
+
+    def hinted(model, p, grid, k, tol, near):
+        near = None if hint == "none" else near if hint is None else [hint] * k
+        return spectrum(model, p, grid, k, tol, near=near)
+
+    monkeypatch.setattr(sips.oracle, "_stebz", counted)
+    monkeypatch.setattr(sips.oracle, "spectrum", hinted)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "argv,hint",
+    [*((argv, None) for argv in _UNWINDOWED),
+     *((["verify", *_SCARF], value) for value in (float("nan"), float("inf"), float("-inf")))],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_uncertified_hint_takes_the_unhinted_solve(capfd, monkeypatch, argv, hint):
+    # capfd: dstebz prints its complaint about a window to file descriptor 1,
+    # past sys.stdout, where it would break the JSON
+    solves = _hint_spy(monkeypatch, hint)
+    outcome = run(capfd, *argv, "--format", "json")
+    assert solves
+    assert outcome[2] == ""
+    _hint_spy(monkeypatch, "none")
+    assert run(capfd, *argv, "--format", "json") == outcome
+
+
+def test_closed_form_hint_saves_the_unhinted_solve(capsys, monkeypatch):
+    solves = _hint_spy(monkeypatch)
+    code, out, err = run(capsys, "verify", "--model", "morse", "--params", "a=3.6,B=1.16",
+                         "--grid", "-6:20:16001", "--format", "json")
+    assert (code, err, solves) == (0, "", [])
+    _hint_spy(monkeypatch, "none")
+    plain = json.loads(run(capsys, "verify", "--model", "morse", "--params", "a=3.6,B=1.16",
+                           "--grid", "-6:20:16001", "--format", "json")[1])
+    numeric = json.loads(out)["spectrum"]["numeric"]
+    # ABSTOL 1e-6, plus eps·‖T‖₁ (about 4e-10 on this grid)
+    assert np.max(np.abs(np.subtract(numeric, plain["spectrum"]["numeric"]))) <= 1e-6 + 1e-9

@@ -20,7 +20,7 @@ from sips import (
     spectrum_by_shape_invariance,
     sturm_count,
 )
-from sips.catalog import default_grid, get_model
+from sips.catalog import default_grid, get_model, max_bound_states
 from sips.cli import parse_params
 
 
@@ -278,6 +278,117 @@ def test_asymmetric_operator_gets_single_solve(stebz_sizes, model, text, bounds)
             stebz_sizes.clear()
             assert np.array_equal(lowest_eigenvalues(T, k, abstol), expected)
             assert stebz_sizes == [T.size]
+
+
+# an asymmetric T, and persymmetric ones with an odd and an even interior count
+_HINT_OPERATORS = [
+    ("scarf", "a=3,B=1", (-20.0, 20.0, 4001)),
+    ("poschl_teller", "a=6", (-20.0, 20.0, 4001)),
+    ("poschl_teller", "a=6", (-20.0, 20.0, 4000)),
+]
+
+
+def _wrong_hints(levels, k, tol):
+    # levels holds the k + 1 lowest; each hint is paired with the width its
+    # windows start at
+    exact = levels[:k]
+    return {
+        "shifted by 10·tol": (exact + 10.0 * tol, tol),
+        "shifted by one level": (levels[1:], tol),
+        "reversed": (exact[::-1], tol),
+        "duplicated": (np.repeat(exact, 2)[:k], tol),
+        "too short": (exact[:-1], tol),
+        "nan": (np.full(k, np.nan), tol),
+        "one nan": (np.where(np.arange(k) == 1, np.nan, exact), tol),
+        "inf": (np.full(k, np.inf), tol),
+        "width that rounds away": (exact, 1e-20),
+        "widening that overflows": (np.full(k, -1e308), 1e307),
+        "width of every level": (exact, 1e306),
+    }
+
+
+@pytest.mark.parametrize("model,text,bounds", _HINT_OPERATORS)
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_wrong_hint_moves_no_level_beyond_abstol(stebz_sizes, model, text, bounds, k):
+    p = parse_params(model, text)
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), Grid(*bounds))
+    tol = 1e-3
+    abstol = 1e-3 * tol
+    plain = lowest_eigenvalues(T, k, abstol)
+    levels = lowest_eigenvalues(T, k + 1, abstol)
+    bound = abstol + np.finfo(float).eps * (np.max(np.abs(T.diag)) + 2.0 * np.max(np.abs(T.off)))
+    for name, (near, width) in _wrong_hints(levels, k, tol).items():
+        hinted = lowest_eigenvalues(T, k, abstol, near=near, width=width)
+        assert np.max(np.abs(hinted - plain)) <= bound, name
+    # a hint within tol of every level takes no unhinted solve, nor does one
+    # 10·tol off where windows widened twice (to 64·tol) stay apart; the box
+    # states above scarf's edge lie closer than that
+    spaced = np.min(np.diff(levels)) > 0.2
+    for shift in (0.5 * tol, 10.0 * tol) if spaced else (0.5 * tol,):
+        stebz_sizes.clear()
+        hinted = lowest_eigenvalues(T, k, abstol, near=plain + shift, width=tol)
+        assert stebz_sizes == []
+        assert np.max(np.abs(hinted - plain)) <= bound
+
+
+@pytest.mark.parametrize(
+    "name", ["shifted by one level", "reversed", "too short", "nan", "widening that overflows",
+             "width that rounds away", "width of every level"],
+)
+def test_uncertified_hint_takes_the_unhinted_solve(capfd, stebz_sizes, name):
+    p = parse_params("scarf", "a=3,B=1")
+    T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), Grid(-20.0, 20.0, 4001))
+    near, width = _wrong_hints(lowest_eigenvalues(T, 4, 1e-6), 3, 1e-3)[name]
+    plain = lowest_eigenvalues(T, 3, 1e-6)
+    stebz_sizes.clear()
+    assert np.array_equal(lowest_eigenvalues(T, 3, 1e-6, near=near, width=width), plain)
+    assert stebz_sizes == [T.size]
+    # no window reached dstebz that it refuses with a line on standard output
+    assert capfd.readouterr() == ("", "")
+
+
+def test_default_hint_width_is_a_thousand_abstol(stebz_sizes):
+    p = parse_params("scarf", "a=3,B=1")
+    T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), Grid(-20.0, 20.0, 4001))
+    plain = lowest_eigenvalues(T, 3, 1e-6)
+    stebz_sizes.clear()
+    lowest_eigenvalues(T, 3, 1e-6, near=plain + 5e-4)  # inside windows of half-width 1e-3
+    assert stebz_sizes == []
+    lowest_eigenvalues(T, 3, 0.0, near=plain)  # abstol 0: no window opens
+    assert stebz_sizes == [T.size]
+
+
+_SWEEP_FAMILIES = ("oscillator", "poschl_teller", "scarf", "morse")
+
+
+@settings(max_examples=50, deadline=5000)
+@given(
+    st.sampled_from(_SWEEP_FAMILIES),
+    st.floats(0.6, 12.0),
+    st.floats(-2.0, 1.0),
+    st.integers(1001, 16001),
+    st.integers(1, 40),
+)
+def test_closed_form_hint_keeps_every_referee_outcome(model, a, log_b, n_points, oscillator_levels):
+    # drawn as the referee sweeps are: every family, a ~ U(0.6, 12),
+    # B = 10^U(-2, 1), oscillator levels ~ U{1..40}, on the family's box
+    text = {"oscillator": None, "poschl_teller": f"a={a!r}"}.get(model, f"a={a!r},B={10.0**log_b!r}")
+    p = parse_params(model, text)
+    k = oscillator_levels if model == "oscillator" else min(5, max_bound_states(model, p))
+    box = get_model(model).default_box
+    grid = Grid(box[0], box[1], n_points)
+    hint = spectrum_by_shape_invariance(model, p, k).energies
+    try:
+        plain = spectrum(model, p, grid, k)
+    except GridTooCoarseError as exc:
+        with pytest.raises(GridTooCoarseError) as got:
+            spectrum(model, p, grid, k, near=hint)
+        assert str(got.value) == str(exc)
+        return
+    hinted = spectrum(model, p, grid, k, near=hint)
+    T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), grid)
+    bound = 1e-6 + np.finfo(float).eps * (np.max(np.abs(T.diag)) + 2.0 / grid.h**2)
+    assert np.max(np.abs(hinted - plain)) <= bound
 
 
 def _sturm_certified_spectrum(model, p, grid, k, tol=1e-3):
