@@ -116,7 +116,6 @@ def lowest_eigenvalues(
     k: int,
     abstol: float = 0.0,
     near: Sequence[float] | None = None,
-    width: float | None = None,
 ) -> NDArray[np.float64]:
     """The k smallest eigenvalues, ascending, from LAPACK bisection (stebz).
 
@@ -125,8 +124,8 @@ def lowest_eigenvalues(
 
     ``near``, ascending estimates of the k levels, lets stebz bisect each
     level in a window about its estimate instead of from T's Gershgorin
-    interval (``_windowed``). The window's half-width starts at ``width``,
-    by default 1e3·abstol (``spectrum`` passes its tol; with abstol = 0 no
+    interval (``_windowed``). The window's half-width starts at 1e3·abstol,
+    which is the tol of ``spectrum`` for tol <= 1e-3 (with abstol = 0 no
     window opens). Sturm counts certify the windows, so a wrong hint costs
     time and never a level: windows that do not certify the k levels send
     the solve to the bisection without a hint. Either way each level is
@@ -147,17 +146,16 @@ def lowest_eigenvalues(
         raise ValueError(f"requested {k} eigenvalues from a {T.size}-point operator")
     if near is not None:
         near = [float(e) for e in near]
-        width = 1e3 * abstol if width is None else float(width)
     halves = _persymmetric_halves(T)
     if halves is None:
-        return _hinted_stebz(T.diag, T.off, k, abstol, near, width)
+        return _hinted_stebz(T.diag, T.off, k, abstol, near)
     # The odd block is a leading principal submatrix of the even one (odd
     # size), or the even block plus a positive rank-one term (even size), so
     # by Cauchy interlacing the levels alternate even, odd, even, ...: the k
     # lowest are the ⌈k/2⌉ lowest even ones and the ⌊k/2⌋ lowest odd ones,
     # whose estimates are near[0::2] and near[1::2].
     levels = [
-        _hinted_stebz(diag, off, count, abstol, None if near is None else near[parity::2], width)
+        _hinted_stebz(diag, off, count, abstol, None if near is None else near[parity::2])
         for parity, ((diag, off), count) in enumerate(zip(halves, ((k + 1) // 2, k // 2)))
         if count
     ]
@@ -221,21 +219,21 @@ def _stebz(diag, off, k: int, abstol: float) -> NDArray[np.float64]:
     return w[:m]
 
 
-def _hinted_stebz(diag, off, k: int, abstol: float, near, width) -> NDArray[np.float64]:
+def _hinted_stebz(diag, off, k: int, abstol: float, near) -> NDArray[np.float64]:
     """``_stebz``, or the windowed bisection of ``_windowed`` when a hint is
     given and its windows certify the k levels."""
-    levels = None if near is None else _windowed(diag, off, k, abstol, near, width)
+    levels = None if near is None else _windowed(diag, off, k, abstol, near)
     return _stebz(diag, off, k, abstol) if levels is None else levels
 
 
-def _windowed(diag, off, k: int, abstol: float, near: list, width: float):
+def _windowed(diag, off, k: int, abstol: float, near: list):
     """The k lowest eigenvalues of one tridiagonal, ascending, each bisected to
     ``abstol`` by one LAPACK dstebz call (RANGE='V') on its own window
     (near[i] - w, near[i] + w], or None when the windows do not certify them.
 
     ``_stebz`` bisects every level from T's Gershgorin interval, about 6e5
     wide at 16001 points, to ABSTOL; a window about a good estimate leaves out
-    most of those Sturm counts. w starts at ``width`` and an empty window,
+    most of those Sturm counts. w starts at 1e3·abstol and an empty window,
     which costs only its two end counts, is widened 8 times, up to three
     times. The levels are certified when each window holds exactly one, the
     windows are finite, ascending and disjoint, and one count (ABSTOL = +inf,
@@ -253,7 +251,7 @@ def _windowed(diag, off, k: int, abstol: float, near: list, width: float):
     levels = np.empty(k)
     floor, ceiling = -np.inf, np.inf  # above the windows below, below the top one
     for i in (k - 1, *range(k - 1)):  # the top window first
-        w = width
+        w = 1e3 * abstol
         for _ in range(4):
             lo, hi = near[i] - w, near[i] + w
             # this also stops a nan, an overflow and a width that rounds away
@@ -364,12 +362,13 @@ def spectrum(
     judged, and a large tol still reports the discretized levels.
 
     ``near``, estimates of the k levels such as the analytic spectrum being
-    judged, places each level's bisection in a window of half-width tol about
-    its estimate, widened if empty (``lowest_eigenvalues``). Sturm counts
-    certify the windows, and any hint they do not certify is ignored, so the
-    hint can move a level by at most that ABSTOL and changes no verdict,
-    certificate or error; a hint within tol of each level saves a third to a
-    half of the bisection time.
+    judged, places each level's bisection in a window of half-width
+    min(tol, 1e-3), 1e3 times that ABSTOL, about its estimate, widened if
+    empty (``lowest_eigenvalues``). Sturm counts certify the windows, and any
+    hint they do not certify is ignored, so the hint can move a level by at
+    most that ABSTOL and changes no verdict, certificate or error; a hint
+    within that half-width of each level saves a third to a half of the
+    bisection time.
 
     For families with a continuum edge, the grid must hold k levels below it
     (the k-th lowest eigenvalue lies below the edge), and h·√(edge - min V)
@@ -387,11 +386,11 @@ def spectrum(
     if edge is None:
         if k > T.size:
             raise GridTooCoarseError(f"{where} has {T.size} interior points, too few for {k} levels")
-        return lowest_eigenvalues(T, k, abstol, near, tol)
+        return lowest_eigenvalues(T, k, abstol, near)
     depth = edge - (np.min(T.diag) - 2.0 / grid.h**2)
     unresolved = grid.h * np.sqrt(max(depth, 0.0)) > 1.0
     # A grid that cannot pass is not solved: that would cost O(k·N).
-    levels = None if k > T.size or unresolved else lowest_eigenvalues(T, k, abstol, near, tol)
+    levels = None if k > T.size or unresolved else lowest_eigenvalues(T, k, abstol, near)
     # dstebz (LAPACK 3.x documentation of ABSTOL and dlaebz) stops once the
     # bisection interval is narrower than max(ABSTOL, 2·eps·|λ|) and returns
     # its midpoint, at most ABSTOL/2 + eps·‖T‖₁ from the eigenvalue its

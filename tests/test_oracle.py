@@ -288,22 +288,23 @@ _HINT_OPERATORS = [
 ]
 
 
-def _wrong_hints(levels, k, tol):
-    # levels holds the k + 1 lowest; each hint is paired with the width its
-    # windows start at
+def _wrong_hints(levels, k):
+    # levels holds the k + 1 lowest; windows start at a half-width of 1e-3
+    # (1e3·ABSTOL at ABSTOL 1e-6)
     exact = levels[:k]
     return {
-        "shifted by 10·tol": (exact + 10.0 * tol, tol),
-        "shifted by one level": (levels[1:], tol),
-        "reversed": (exact[::-1], tol),
-        "duplicated": (np.repeat(exact, 2)[:k], tol),
-        "too short": (exact[:-1], tol),
-        "nan": (np.full(k, np.nan), tol),
-        "one nan": (np.where(np.arange(k) == 1, np.nan, exact), tol),
-        "inf": (np.full(k, np.inf), tol),
-        "width that rounds away": (exact, 1e-20),
-        "widening that overflows": (np.full(k, -1e308), 1e307),
-        "width of every level": (exact, 1e306),
+        "shifted by 10·tol": exact + 1e-2,
+        "shifted by one level": levels[1:],
+        "reversed": exact[::-1],
+        "duplicated": np.repeat(exact, 2)[:k],
+        "closely spaced": exact[0] + 5e-4 * np.arange(k),
+        "overlapping windows": np.concatenate(([levels[1] - 1e-3], exact[1:])),
+        "too short": exact[:-1],
+        "nan": np.full(k, np.nan),
+        "one nan": np.where(np.arange(k) == 1, np.nan, exact),
+        "inf": np.full(k, np.inf),
+        "width that rounds away": np.full(k, 1e20),
+        "top window above every level": np.concatenate((exact[:-1], [1e9])),
     }
 
 
@@ -312,50 +313,53 @@ def _wrong_hints(levels, k, tol):
 def test_wrong_hint_moves_no_level_beyond_abstol(stebz_sizes, model, text, bounds, k):
     p = parse_params(model, text)
     T = discretize_hamiltonian(lambda x: potential_minus(model, x, p), Grid(*bounds))
-    tol = 1e-3
-    abstol = 1e-3 * tol
+    abstol = 1e-6
     plain = lowest_eigenvalues(T, k, abstol)
     levels = lowest_eigenvalues(T, k + 1, abstol)
     bound = abstol + np.finfo(float).eps * (np.max(np.abs(T.diag)) + 2.0 * np.max(np.abs(T.off)))
-    for name, (near, width) in _wrong_hints(levels, k, tol).items():
-        hinted = lowest_eigenvalues(T, k, abstol, near=near, width=width)
+    for name, near in _wrong_hints(levels, k).items():
+        hinted = lowest_eigenvalues(T, k, abstol, near=near)
         assert np.max(np.abs(hinted - plain)) <= bound, name
-    # a hint within tol of every level takes no unhinted solve, nor does one
-    # 10·tol off where windows widened twice (to 64·tol) stay apart; the box
-    # states above scarf's edge lie closer than that
+    # a hint within the half-width 1e-3 of every level takes no unhinted
+    # solve, nor does one 1e-2 off where windows widened twice (to 6.4e-2)
+    # stay apart; the box states above scarf's edge lie closer than that
     spaced = np.min(np.diff(levels)) > 0.2
-    for shift in (0.5 * tol, 10.0 * tol) if spaced else (0.5 * tol,):
+    for shift in (5e-4, 1e-2) if spaced else (5e-4,):
         stebz_sizes.clear()
-        hinted = lowest_eigenvalues(T, k, abstol, near=plain + shift, width=tol)
+        hinted = lowest_eigenvalues(T, k, abstol, near=plain + shift)
         assert stebz_sizes == []
         assert np.max(np.abs(hinted - plain)) <= bound
 
 
-@pytest.mark.parametrize(
-    "name", ["shifted by one level", "reversed", "too short", "nan", "widening that overflows",
-             "width that rounds away", "width of every level"],
-)
-def test_uncertified_hint_takes_the_unhinted_solve(capfd, stebz_sizes, name):
-    p = parse_params("scarf", "a=3,B=1")
-    T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), Grid(-20.0, 20.0, 4001))
-    near, width = _wrong_hints(lowest_eigenvalues(T, 4, 1e-6), 3, 1e-3)[name]
-    plain = lowest_eigenvalues(T, 3, 1e-6)
+def _unhinted_solve_runs(capfd, stebz_sizes, T, k, abstol, near):
+    plain = lowest_eigenvalues(T, k, abstol)
     stebz_sizes.clear()
-    assert np.array_equal(lowest_eigenvalues(T, 3, 1e-6, near=near, width=width), plain)
+    assert np.array_equal(lowest_eigenvalues(T, k, abstol, near=near), plain)
     assert stebz_sizes == [T.size]
     # no window reached dstebz that it refuses with a line on standard output
     assert capfd.readouterr() == ("", "")
 
 
-def test_default_hint_width_is_a_thousand_abstol(stebz_sizes):
+def _scarf_operator():
     p = parse_params("scarf", "a=3,B=1")
-    T = discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), Grid(-20.0, 20.0, 4001))
-    plain = lowest_eigenvalues(T, 3, 1e-6)
-    stebz_sizes.clear()
-    lowest_eigenvalues(T, 3, 1e-6, near=plain + 5e-4)  # inside windows of half-width 1e-3
-    assert stebz_sizes == []
-    lowest_eigenvalues(T, 3, 0.0, near=plain)  # abstol 0: no window opens
-    assert stebz_sizes == [T.size]
+    return discretize_hamiltonian(lambda x: potential_minus("scarf", x, p), Grid(-20.0, 20.0, 4001))
+
+
+@pytest.mark.parametrize(
+    "name", ["shifted by one level", "reversed", "duplicated", "closely spaced",
+             "overlapping windows", "too short", "nan", "width that rounds away",
+             "top window above every level"],
+)
+def test_uncertified_hint_takes_the_unhinted_solve(capfd, stebz_sizes, name):
+    T = _scarf_operator()
+    near = _wrong_hints(lowest_eigenvalues(T, 4, 1e-6), 3)[name]
+    _unhinted_solve_runs(capfd, stebz_sizes, T, 3, 1e-6, near)
+
+
+def test_overflowing_window_takes_the_unhinted_solve(capfd, stebz_sizes):
+    # ABSTOL 1e304 opens windows of half-width 1e307 about -1e308; the top
+    # one is empty, and widening it 8 times overflows its lower end
+    _unhinted_solve_runs(capfd, stebz_sizes, _scarf_operator(), 3, 1e304, np.full(3, -1e308))
 
 
 _SWEEP_FAMILIES = ("oscillator", "poschl_teller", "scarf", "morse")
