@@ -31,8 +31,7 @@ closure functions import it when they run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import ParameterPoint, _partner_potential, get_model, max_bound_states
 from .errors import NotSO21Error
@@ -62,23 +61,23 @@ __all__ = [
 _R_PROBES = (0.75, 1.5, 2.0, 3.25, 5.0)
 
 
-@dataclass
-class SectorFunction:
+class SectorFunction(
+    NamedTuple("SectorFunction", [("m", float), ("f", SampledFunction), ("derivatives", "tuple[NDArray[np.float64], ...]")])
+):
     """A test function on sector m (the j₃ eigenvalue), carried as a jet:
     ``f`` and its exact derivatives on the same grid, ``derivatives`` =
     (f',) or (f', f''). Each ladder step uses up one derivative."""
 
-    m: float
-    f: SampledFunction
-    derivatives: tuple[NDArray[np.float64], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, m: float, f: SampledFunction, derivatives=()):
         import numpy as np
 
-        self.derivatives = tuple(np.asarray(d, dtype=float) for d in self.derivatives)
+        derivatives = tuple(np.asarray(d, dtype=float) for d in derivatives)
         # the ladder knows W and W' only, so it can carry no derivative past f''
-        if len(self.derivatives) > 2 or any(d.shape != self.f.values.shape for d in self.derivatives):
+        if len(derivatives) > 2 or any(d.shape != f.values.shape for d in derivatives):
             raise ValueError("a jet holds f' and at most f'', each sampled on the grid of f")
+        return super().__new__(cls, m, f, derivatives)
 
 
 def gaussian_suite(grid: Grid, m: float) -> dict[str, SectorFunction]:
@@ -218,8 +217,7 @@ def energy_from_algebra(m: float, j: float) -> float:
     return (m + j) * (m - j - 1.0)
 
 
-@dataclass
-class So21Check:
+class So21Check(NamedTuple):
     """Outcome of the SO(2,1) membership test with per-probe diagnostics."""
 
     model_id: str

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .errors import InvalidParameterError, LevelOutOfRangeError
 from .grids import Grid
@@ -55,13 +55,12 @@ __all__ = [
 OSCILLATOR_LEVEL_CAP = 32
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
+class ParameterPoint(NamedTuple):
     """A concrete parameter assignment: the shifting parameter ``a`` plus any
     auxiliary constants (e.g. ``B`` for scarf and morse)."""
 
     a: float
-    aux: Mapping[str, float] = field(default_factory=dict)
+    aux: Mapping[str, float] = MappingProxyType({})
 
     def with_a(self, a: float) -> "ParameterPoint":
         return ParameterPoint(a, self.aux)
@@ -74,8 +73,7 @@ class ParameterPoint:
         return {"a": self.a, **dict(self.aux)}
 
 
-@dataclass(frozen=True)
-class SuperpotentialModel:
+class SuperpotentialModel(NamedTuple):
     """One family of shape-invariant potentials.
 
     ``w``, ``w_prime`` and ``w_integral`` (an antiderivative of W, up to a

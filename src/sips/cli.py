@@ -27,10 +27,11 @@ JSON document, text), and main writes the document for --format json and
 the text otherwise, both through _emit.
 
 Each command imports the library modules it uses when it runs, so the module
-itself loads only the standard library. The four scalar commands, `list`,
-`spectrum`, `reps classify` and `reps enumerate`, never import numpy, and
-only `verify` imports scipy, inside the referee: top-level scipy and its
-LAPACK extension, never `scipy.linalg`.
+itself loads only the standard library. The five scalar commands, `list`,
+`spectrum` and `reps classify|enumerate|region-grid`, never import numpy;
+`verify`, `wavefunction` and `algebra check` do, and only `verify` imports
+scipy, inside the referee: top-level scipy and its LAPACK extension, never
+`scipy.linalg`. No command imports `dataclasses`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from typing import TYPE_CHECKING
 from .errors import SipsError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .catalog import ParameterPoint
     from .grids import Grid
 
@@ -78,20 +77,25 @@ def parse_grid_spec(spec: str) -> Grid:
     return Grid(float(parts[0]), float(parts[1]), n_points)
 
 
-def parse_range_spec(spec: str) -> np.ndarray:
-    """Range spec 'min:max:step' for the region raster axes."""
-    import numpy as np
-
+def parse_range_spec(spec: str) -> list[float]:
+    """Range spec 'min:max:step' for the region raster axes: the values of
+    numpy's arange(min, max + step/2, step), computed as it computes them."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range spec must be min:max:step, got {spec!r}")
     lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bad range {spec!r}: min and max must be finite numbers")
     if not (0.0 < step < math.inf and lo <= hi):
         raise ValueError(f"bad range {spec!r}: need min <= max and a finite step > 0")
-    # np.arange's length, counted before it allocates anything
-    if not (hi + 0.5 * step - lo) / step <= MAX_POINTS:
+    # arange's length, ceil((stop - min)/step), counted before anything is built
+    length = (hi + 0.5 * step - lo) / step
+    if not length <= MAX_POINTS:
         raise ValueError(f"range {spec!r} exceeds the limit of {MAX_POINTS} points")
-    return np.arange(lo, hi + 0.5 * step, step)
+    # arange's values: min, min + step, then min + i·delta with delta the
+    # difference of those two
+    delta = (lo + step) - lo
+    return [lo, lo + step][: math.ceil(length)] + [lo + i * delta for i in range(2, math.ceil(length))]
 
 
 def parse_params(model, text: str | None, fixed_a: float | None = None) -> ParameterPoint:
@@ -406,25 +410,20 @@ def cmd_reps_enumerate(args) -> tuple:
 
 
 def cmd_reps_region_grid(args) -> tuple:
-    import numpy as np
-
     from . import unireps
 
     j_values = parse_range_spec(args.j)
     m_values = parse_range_spec(args.m)
-    if j_values.size * m_values.size > MAX_POINTS:
-        raise ValueError(f"raster of {j_values.size}x{m_values.size} cells exceeds the limit of {MAX_POINTS}")
-    codes = unireps.region_index(j_values[:, None], m_values[None, :])
+    if len(j_values) * len(m_values) > MAX_POINTS:
+        raise ValueError(
+            f"raster of {len(j_values)}x{len(m_values)} cells exceeds the limit of {MAX_POINTS}"
+        )
     # "m,region" text for every m and region, formatted once and picked per
     # cell; each row then joins its cells behind its "j," prefix
-    cells = np.array(
-        [[f"{m:.6g},{r.value}" for m in m_values.tolist()] for r in unireps.Region], dtype=object
-    )
-    columns = np.arange(m_values.size)
-    rows = (
-        f"{j:.6g}," + f"\n{j:.6g},".join(cells[row_codes, columns].tolist()) + "\n"
-        for j, row_codes in zip(j_values.tolist(), codes)
-    )
+    m_texts = [f"{m:.6g}," for m in m_values]
+    cells = {region: [text + region.value for text in m_texts] for region in unireps.Region}
+    raster = unireps.region_rows(j_values, m_values, cells)
+    rows = (f"{j:.6g}," + f"\n{j:.6g},".join(row) + "\n" for j, row in zip(j_values, raster))
     return 0, None, itertools.chain(["j,m,region\n"], rows)
 
 

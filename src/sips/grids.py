@@ -10,33 +10,31 @@ the functions that sample or read arrays import numpy when they run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
     from numpy.typing import NDArray
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple("Grid", [("x_min", float), ("x_max", float), ("n_points", int)])):
     """Uniform grid of ``n_points`` nodes on ``[x_min, x_max]``."""
 
-    x_min: float
-    x_max: float
-    n_points: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_points < 3:
-            raise ValueError(f"need at least 3 points, got {self.n_points}")
+    def __new__(cls, x_min: float, x_max: float, n_points: int):
+        self = super().__new__(cls, x_min, x_max, n_points)
+        if n_points < 3:
+            raise ValueError(f"need at least 3 points, got {n_points}")
         # the referee's second difference divides by h², so h² and 1/h² must
         # be finite; a finite h² implies finite bounds
         h2 = self.h * self.h
-        if not (self.x_min < self.x_max and math.isfinite(h2) and h2 > 0.0 and math.isfinite(1.0 / h2)):
+        if not (x_min < x_max and math.isfinite(h2) and h2 > 0.0 and math.isfinite(1.0 / h2)):
             raise ValueError(
                 f"need finite x_min < x_max and finite h² and 1/h², got "
-                f"[{self.x_min}, {self.x_max}], h={self.h}"
+                f"[{x_min}, {x_max}], h={self.h}"
             )
+        return self
 
     @property
     def h(self) -> float:
@@ -50,24 +48,23 @@ class Grid:
 
 
 
-@dataclass
-class SampledFunction:
+class SampledFunction(NamedTuple("SampledFunction", [("grid", Grid), ("values", "NDArray[np.float64]")])):
     """A real function tabulated on a uniform grid."""
 
-    grid: Grid
-    values: NDArray[np.float64] = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, grid: Grid, values):
         import numpy as np
 
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_points,):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n_points,):
             raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.n_points} points)"
+                f"values shape {values.shape} does not match grid "
+                f"({grid.n_points} points)"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("values contain non-finite entries")
+        return super().__new__(cls, grid, values)
 
     def norm(self) -> float:
         """Trapezoidal L2 norm on the grid."""

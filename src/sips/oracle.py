@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -50,20 +49,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
+class TridiagonalOperator(
+    NamedTuple("TridiagonalOperator", [("diag", NDArray[np.float64]), ("off", NDArray[np.float64]), ("grid", Grid)])
+):
     """Symmetric tridiagonal discretization of -d²/dx² + V with ψ = 0 at the
     box edges. ``diag`` and ``off`` cover the interior nodes only."""
 
-    diag: NDArray[np.float64] = field(repr=False)
-    off: NDArray[np.float64] = field(repr=False)
-    grid: Grid
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "off", np.asarray(self.off, dtype=float))
-        if self.off.shape != (self.diag.size - 1,):
+    def __new__(cls, diag, off, grid: Grid):
+        diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+        if off.shape != (diag.size - 1,):
             raise ValueError("off-diagonal must be one entry shorter than diagonal")
+        return super().__new__(cls, diag, off, grid)
 
     @property
     def size(self) -> int:
@@ -428,8 +426,7 @@ def residual_norm(T: TridiagonalOperator, psi: SampledFunction, E: float) -> flo
     return float(np.linalg.norm(T.apply(v) - E * v) / norm)
 
 
-@dataclass
-class SpectrumComparison:
+class SpectrumComparison(NamedTuple):
     """Per-level comparison of an analytic spectrum against numeric values."""
 
     analytic: NDArray[np.float64]

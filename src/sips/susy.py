@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import (
     ParameterPoint,
@@ -46,24 +45,26 @@ __all__ = [
 ]
 
 
-@dataclass
 class Spectrum:
     """Energies of one potential-family member plus the parameter ladder that
-    produced them (a_k for each level)."""
+    produced them (a_k for each level). ``len`` is the number of levels."""
 
-    model_id: str
-    p0: ParameterPoint
-    energies: tuple[float, ...]
-    level_params: list[ParameterPoint]
+    __slots__ = ("model_id", "p0", "energies", "level_params")
 
-    def __post_init__(self):
-        self.energies = tuple(map(float, self.energies))
-        if not self.energies or self.energies[0] != 0.0:
+    def __init__(self, model_id: str, p0: ParameterPoint, energies, level_params: list[ParameterPoint]):
+        energies = tuple(map(float, energies))
+        if not energies or energies[0] != 0.0:
             raise ValueError("bound spectra start at exactly E = 0")
         # a difference, not b <= a: levels that overflow to inf are left for
         # the report's finiteness check to name
-        if any(b - a <= 0 for a, b in zip(self.energies, self.energies[1:])):
+        if any(b - a <= 0 for a, b in zip(energies, energies[1:])):
             raise ValueError("bound-state energies must increase strictly")
+        self.model_id, self.p0, self.energies, self.level_params = model_id, p0, energies, level_params
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -101,8 +102,7 @@ def spectrum_by_shape_invariance(model, p0: ParameterPoint, n_max: int) -> Spect
     return Spectrum(model.id, p0, energies, points)
 
 
-@dataclass
-class ShapeInvarianceReport:
+class ShapeInvarianceReport(NamedTuple):
     """Max-residual check of V+(x, a_k) = V-(x, a_{k+1}) + R(a_k) per shift k.
 
     ``residuals`` are the raw max |V+ - V- - R| over the grid; ``excess`` is

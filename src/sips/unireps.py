@@ -15,19 +15,17 @@ j = -1/2 + iβ, classification only).
 
 All formulas depend on j only through j(j+1), so labels j and -j-1 describe
 the same representation; constructors canonicalize to the branch j <= -1/2.
+Everything here is scalar arithmetic on floats: the module loads no numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import UnitarityError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "RepClass",
@@ -39,7 +37,7 @@ __all__ = [
     "classify",
     "enumerate_multiplet",
     "region_of",
-    "region_index",
+    "region_rows",
 ]
 
 _EDGE_TOL = 1e-12
@@ -60,16 +58,13 @@ class Region(enum.Enum):
     FORBIDDEN = "forbidden"
 
 
-_REGIONS = tuple(Region)
-
 
 def _canonical_j(j: float) -> float:
     # j and -j-1 share j(j+1); keep the j <= -1/2 branch.
     return min(j, -1.0 - j)
 
 
-@dataclass(frozen=True)
-class RepLabel:
+class RepLabel(NamedTuple("RepLabel", [("rep_class", RepClass), ("j", float), ("m0", float), ("beta", float)])):
     """A representation class with its label (j, m0).
 
     For ``D_P`` the label is j = -1/2 + iβ, stored as (j = -1/2, beta = β);
@@ -77,21 +72,15 @@ class RepLabel:
     branch on construction (the j ↔ -j-1 equivalence).
     """
 
-    rep_class: RepClass
-    j: float
-    m0: float
-    beta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rep_class in (RepClass.D_PLUS, RepClass.D_MINUS):
-            object.__setattr__(self, "j", _canonical_j(self.j))
-            object.__setattr__(
-                self,
-                "m0",
-                -self.j if self.rep_class is RepClass.D_PLUS else self.j,
-            )
-        if self.rep_class is RepClass.D_P and self.j != -0.5:
+    def __new__(cls, rep_class: RepClass, j: float, m0: float, beta: float = 0.0):
+        if rep_class in (RepClass.D_PLUS, RepClass.D_MINUS):
+            j = _canonical_j(j)
+            m0 = -j if rep_class is RepClass.D_PLUS else j
+        if rep_class is RepClass.D_P and j != -0.5:
             raise ValueError("principal series requires j = -1/2 + i*beta")
+        return super().__new__(cls, rep_class, j, m0, beta)
 
     @property
     def casimir(self) -> float:
@@ -121,14 +110,13 @@ class RepLabel:
         return cls(RepClass.D_P, -0.5, m0, beta=beta)
 
 
-@dataclass
-class Multiplet:
+class Multiplet(NamedTuple):
     rep: RepLabel
     m_values: list[float]
-    casimir: float = field(init=False)
 
-    def __post_init__(self):
-        self.casimir = self.rep.casimir
+    @property
+    def casimir(self) -> float:
+        return self.rep.casimir
 
 
 def positivity_check(j: float, m: float, beta: float = 0.0) -> tuple[float, float]:
@@ -217,9 +205,22 @@ def enumerate_multiplet(rep: RepLabel, count: int) -> Multiplet:
     return Multiplet(rep, m_values)
 
 
-def region_index(j, m) -> np.ndarray:
-    """Index into ``tuple(Region)`` of the region of every (j, m) pair, with
-    j and m broadcast against each other as numpy arrays.
+def _region(casimir: float, m: float) -> Region:
+    # the rule of region_of, read off the Casimir c = j(j+1); each test
+    # compares c with one of m(m - 1), m(m + 1) and (|m| - 1)|m|
+    if m * (m - 1.0) - casimir < 0.0 or m * (m + 1.0) - casimir < 0.0:
+        return Region.FORBIDDEN
+    if m >= 0.5:
+        return Region.BOUNDED_BELOW
+    if m <= -0.5:
+        return Region.BOUNDED_ABOVE
+    if casimir < (abs(m) - 1.0) * abs(m):
+        return Region.SQUARE
+    return Region.FORBIDDEN
+
+
+def region_of(j: float, m: float) -> Region:
+    """Locate a real (j, m) point among the allowed regions of the plane.
 
     Positivity of both operator orderings is required everywhere; admissible
     points split by m into the bounded-below triangle (m >= 1/2), the
@@ -227,25 +228,44 @@ def region_index(j, m) -> np.ndarray:
     supplementary-series bound j(j+1) < (|m|-1)|m| must hold strictly (band
     points on the diamond edge are starting states of short discrete
     multiplets, not members of a two-sided class). The first rule that
-    applies decides, in that order. The only function here that needs numpy."""
-    import numpy as np
+    applies decides, in that order; a comparison with nan is false."""
+    return _region(j * (j + 1.0), m)
 
-    j, m = np.asarray(j, dtype=float), np.asarray(m, dtype=float)
-    lower_sq, raise_sq = positivity_check(j, m)
-    code = _REGIONS.index
-    return np.select(
-        [
-            (lower_sq < 0.0) | (raise_sq < 0.0),
-            m >= 0.5,
-            m <= -0.5,
-            j * (j + 1.0) < (np.abs(m) - 1.0) * np.abs(m),
-        ],
-        [code(Region.FORBIDDEN), code(Region.BOUNDED_BELOW), code(Region.BOUNDED_ABOVE), code(Region.SQUARE)],
-        default=code(Region.FORBIDDEN),
+
+_T = TypeVar("_T")
+
+
+def region_rows(
+    j_values: Sequence[float], m_values: Sequence[float], cells: Mapping[Region, Sequence[_T]]
+) -> Iterator[list[_T]]:
+    """The region raster a row at a time: for each j of ``j_values`` in
+    order, the list of ``cells[region_of(j, m)][k]`` over the columns k,
+    m = ``m_values[k]``.
+
+    A column's region depends on j only through c = j(j+1), and each test of
+    the rule compares c with one of the column's thresholds m(m - 1),
+    m(m + 1) and (|m| - 1)|m|, so it changes only where c crosses one of
+    them. Each row after the first looks up just the columns with a
+    threshold between its c and the previous row's (c falls and then rises
+    along an ascending j axis, so each threshold is crossed at most twice),
+    and yields the previous row's list updated in place.
+    """
+    events = sorted(
+        {(threshold, k)
+         for k, m in enumerate(m_values)
+         for threshold in (m * (m - 1.0), m * (m + 1.0), (abs(m) - 1.0) * abs(m))}
     )
-
-
-def region_of(j: float, m: float) -> Region:
-    """Locate a real (j, m) point among the allowed regions of the plane
-    (the rule of ``region_index``, at one point)."""
-    return _REGIONS[int(region_index(j, m))]
+    thresholds = [threshold for threshold, _ in events]
+    columns = [k for _, k in events]
+    row: list[_T] = []
+    previous = math.nan
+    for j in j_values:
+        casimir = j * (j + 1.0)
+        if math.isnan(previous) or math.isnan(casimir):
+            row[:] = [cells[_region(casimir, m)][k] for k, m in enumerate(m_values)]
+        else:
+            lo, hi = (casimir, previous) if casimir < previous else (previous, casimir)
+            for k in columns[bisect_left(thresholds, lo):bisect_right(thresholds, hi)]:
+                row[k] = cells[_region(casimir, m_values[k])][k]
+        previous = casimir
+        yield row

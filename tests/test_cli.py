@@ -171,12 +171,10 @@ def test_verify_steep_wall_passes(capsys):
 def test_verify_shifted_remainder_fails(capsys, monkeypatch, grid):
     # a remainder off by 2·tol breaks the identity in the well, where the
     # rounding floor is tiny, whatever the wall does at the box edge
-    import dataclasses
-
     from sips import catalog
 
     morse = catalog.MODELS["morse"]
-    shifted = dataclasses.replace(morse, remainder=lambda p: morse.remainder(p) + 2e-3)
+    shifted = morse._replace(remainder=lambda p: morse.remainder(p) + 2e-3)
     monkeypatch.setitem(catalog.MODELS, "morse", shifted)
     code, out, _ = run(
         capsys, "verify", "--model", "morse", "--params", "a=3,B=1", "--grid", grid,
@@ -251,15 +249,21 @@ def test_verify_grid_cannot_resolve_well(capsys):
     assert "cannot resolve" in err
 
 
-@pytest.mark.parametrize("command", ["verify", "wavefunction"])
+@pytest.mark.parametrize("command", ["verify", "wavefunction", "region-grid"])
 @pytest.mark.parametrize("grid", ["0:inf:11", "-1e308:1e308:11", "-inf:0:11", "5:1e308:64"])
 def test_nonfinite_grid_rejected(capsys, command, grid):
     argv = [command, "--model", "scarf", "--params", "a=3,B=1", "--grid", grid]
     if command == "wavefunction":
         argv += ["--n", "0"]
+    if command == "region-grid":
+        argv = ["reps", "region-grid", "--j", grid, "--m", "0:1:0.5"]
     code, out, err = run(capsys, *argv)
     usage_error(code, out, err)
-    assert "finite" in err
+    if command == "region-grid" and "inf" not in grid:
+        # finite bounds, but more points than the limit
+        assert "exceeds the limit" in err
+    else:
+        assert "finite" in err
 
 
 @pytest.mark.parametrize("params", ["a=inf", "a=3,B=nan"])
@@ -677,25 +681,48 @@ _SCALAR_MODULE = {"reps": "sips.unireps", "list": "sips.catalog", "spectrum": "s
         ["spectrum", "--model", "scarf", "--params", "a=5514385.8263,B=1", "--levels", "10", "--route", "both"],
         ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both", "--format", "json",
          "--out", "OUT"],
+        ["reps", "region-grid", "--j", "-2:3:0.125", "--m", "-2.5:2.5:0.125"],
+        ["reps", "region-grid", "--j", "-4:1:0.25", "--m", "-4:4:0.25", "--out", "OUT"],
     ],
 )
 def test_scalar_reps_commands_load_no_numpy(tmp_path, argv):
     out = tmp_path / "report.txt"
     argv = [str(out) if arg == "OUT" else arg for arg in argv]
-    # -X importtime names every module the process imports, one per stderr line
-    proc = _cold("-X", "importtime", "-m", "sips.cli", *argv)
-    assert proc.returncode == 0
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    imported = _cold_imports(argv)
     assert _SCALAR_MODULE[argv[0]] in imported
-    assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")]
+    assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy", "dataclasses")]
     if "--out" in argv:
         assert out.read_text() == _cold("-m", "sips.cli", *argv[:-2]).stdout
 
 
+def _cold_imports(argv):
+    # -X importtime names every module the process imports, one per stderr line
+    proc = _cold("-X", "importtime", "-m", "sips.cli", *argv)
+    assert proc.returncode == 0
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+
+
+# the numeric commands of the benchmark's cold mix, one of each kind
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "scarf", "--params", "a=3,B=1"],
+        ["wavefunction", "--model", "morse", "--params", "a=3,B=1", "--n", "2", "--out", "OUT"],
+        ["wavefunction", "--model", "poschl_teller", "--params", "a=4", "--n", "1", "--format", "json"],
+        ["algebra", "check", "--model", "scarf", "--m", "3.5", "--params", "B=1", "--format", "json"],
+    ],
+)
+def test_numeric_commands_load_no_dataclasses(tmp_path, argv):
+    imported = _cold_imports([str(tmp_path / "psi.csv") if arg == "OUT" else arg for arg in argv])
+    assert "numpy" in imported
+    assert "dataclasses" not in imported
+
+
 def test_numeric_commands_after_numpy_free_command(capsys):
     # one process: `spectrum` loads the catalog, susy and algebra modules
-    # without numpy, the first numpy import happens inside `reps region-grid`,
-    # and verify and wavefunction then run on the modules spectrum loaded
+    # without numpy, `reps region-grid` loads none either, the first numpy
+    # import happens inside `verify`, and verify and wavefunction run on the
+    # modules spectrum loaded
     classify = ["reps", "classify", "--j", "-1.5", "--m0", "1.5"]
     spectrum = ["spectrum", "--model", "scarf", "--params", "a=3,B=1", "--route", "both"]
     raster = ["reps", "region-grid", "--j", "-4:1:0.25", "--m", "-4:4:0.25"]
@@ -714,7 +741,7 @@ def test_numeric_commands_after_numpy_free_command(capsys):
     proc = _cold("-c", script)
     assert proc.stderr == ""
     results = json.loads(proc.stdout)
-    assert [numpy_loaded for *_, numpy_loaded in results] == [False, False, True, True, True]
+    assert [numpy_loaded for *_, numpy_loaded in results] == [False, False, False, True, True]
     assert results[0][:2] == [0, "D_plus\n"]
     for argv, result in zip([spectrum, raster, verify, wavefunction], results[1:]):
         assert result[:2] == list(run(capsys, *argv)[:2])
@@ -854,12 +881,10 @@ def test_algebra_check_closes_to_rounding(capsys, argv, bound):
 
 def test_algebra_check_shifted_remainder_fails(capsys, monkeypatch):
     # a remainder off by 10·tol shows at full size in the closure residual
-    import dataclasses
-
     from sips import catalog
 
     scarf = catalog.MODELS["scarf"]
-    shifted = dataclasses.replace(scarf, remainder=lambda p: scarf.remainder(p) + 1e-3)
+    shifted = scarf._replace(remainder=lambda p: scarf.remainder(p) + 1e-3)
     monkeypatch.setitem(catalog.MODELS, "scarf", shifted)
     code, out, _ = run(
         capsys, "algebra", "check", "--model", "scarf", "--m", "2", "--params", "B=1", "--format", "json"
@@ -1011,8 +1036,6 @@ def test_spectrum_overflowing_route_gap_is_usage_error(model_id, a, fmt):
 
 
 def test_algebra_route_does_not_read_the_closed_form(capsys, monkeypatch):
-    import dataclasses
-
     from sips import catalog
 
     argv = ["spectrum", "--model", "scarf", "--params", "a=5514385.8263,B=1", "--levels", "10"]
@@ -1022,7 +1045,7 @@ def test_algebra_route_does_not_read_the_closed_form(capsys, monkeypatch):
     def unread(p, n):
         raise AssertionError("the catalog's closed form was read")
 
-    monkeypatch.setitem(catalog.MODELS, "scarf", dataclasses.replace(catalog.MODELS["scarf"], energy=unread))
+    monkeypatch.setitem(catalog.MODELS, "scarf", catalog.MODELS["scarf"]._replace(energy=unread))
     assert [run(capsys, *a) for a in argvs] == expected
 
 
@@ -1030,8 +1053,6 @@ def test_algebra_route_does_not_read_the_closed_form(capsys, monkeypatch):
 def test_spectrum_routes_disagree_on_remainder_off_between_probes(capsys, monkeypatch, a):
     # R off by 1e-4 everywhere is_so21 does not probe: the model still joins
     # the SO(2,1) class, and the sums of R part from the algebra's levels
-    import dataclasses
-
     from sips import algebra, catalog
 
     scarf = catalog.MODELS["scarf"]
@@ -1039,7 +1060,7 @@ def test_spectrum_routes_disagree_on_remainder_off_between_probes(capsys, monkey
     def off(p):
         return scarf.remainder(p) + (0.0 if p.a in algebra._R_PROBES else 1e-4)
 
-    monkeypatch.setitem(catalog.MODELS, "scarf", dataclasses.replace(scarf, remainder=off))
+    monkeypatch.setitem(catalog.MODELS, "scarf", scarf._replace(remainder=off))
     assert algebra.is_so21("scarf")
     code, out, err = run(
         capsys, "spectrum", "--model", "scarf", "--params", f"a={a},B=1", "--levels", "10", "--route", "both"
@@ -1179,7 +1200,7 @@ def test_verify_work_limit_counts_levels_solved(capsys, monkeypatch, limit, code
 
 def test_sizes_at_point_limit_accepted():
     assert parse_grid_spec(f"-20:20:{MAX_POINTS}").n_points == MAX_POINTS
-    assert parse_range_spec(f"0:{MAX_POINTS - 1}:1").size == MAX_POINTS
+    assert len(parse_range_spec(f"0:{MAX_POINTS - 1}:1")) == MAX_POINTS
 
 
 def test_reps_enumerate_vanishing_steps(capsys):

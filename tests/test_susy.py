@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,7 +101,7 @@ def test_shape_invariance_residuals(scarf_p):
 
 
 def test_shape_invariance_wrong_shift_is_loud(scarf_p):
-    broken = dataclasses.replace(get_model("scarf"), id="scarf_bad_step", param_step=1.0)
+    broken = get_model("scarf")._replace(id="scarf_bad_step", param_step=1.0)
     report = verify_shape_invariance(broken, scarf_p, Grid(-20, 20, 2001), k_max=2)
     assert report.max_residual > 0.1
 

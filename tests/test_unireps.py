@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -18,7 +20,8 @@ from sips import (
     positivity_check,
     region_of,
 )
-from sips.unireps import region_index
+from sips.cli import main, parse_range_spec
+from sips.unireps import region_rows
 
 
 def test_ladder_coefficients():
@@ -200,16 +203,81 @@ def _region_by_scalar_rule(j, m):
     return Region.FORBIDDEN
 
 
-def test_region_index_matches_scalar_rule():
+def _numpy_regions(j, m):
+    # the reference: region_index, the numpy formula region_of and the raster
+    # replaced, with j and m broadcast against each other
+    j, m = np.asarray(j, dtype=float), np.asarray(m, dtype=float)
+    with np.errstate(all="ignore"):
+        lower_sq, raise_sq = positivity_check(j, m)
+        band = j * (j + 1.0) < (np.abs(m) - 1.0) * np.abs(m)
+    regions = np.array(tuple(Region), dtype=object)
+    codes = np.select(
+        [(lower_sq < 0.0) | (raise_sq < 0.0), m >= 0.5, m <= -0.5, band], [3, 0, 1, 2], default=3
+    )
+    return regions[codes]
+
+
+def _numpy_axis(spec):
+    lo, hi, step = map(float, spec.split(":"))
+    return np.arange(lo, hi + 0.5 * step, step)
+
+
+def test_region_raster_matches_scalar_rule():
     # 1/8 steps put cells exactly on m = ±1/2, j = -1/2 and the diamond edge
-    j = np.arange(-4.0, 1.0 + 0.0625, 0.125)
-    m = np.arange(-4.0, 4.0 + 0.0625, 0.125)
-    codes = region_index(j[:, None], m[None, :])
-    assert codes.shape == (j.size, m.size)
-    regions = tuple(Region)
-    for row, jv in zip(codes.tolist(), j.tolist()):
-        assert [regions[c] for c in row] == [_region_by_scalar_rule(jv, mv) for mv in m.tolist()]
+    j = np.arange(-4.0, 1.0 + 0.0625, 0.125).tolist()
+    m = np.arange(-4.0, 4.0 + 0.0625, 0.125).tolist()
+    rows = [list(row) for row in region_rows(j, m, {r: [r] * len(m) for r in Region})]
+    assert rows == [[_region_by_scalar_rule(jv, mv) for mv in m] for jv in j]
+    assert rows == _numpy_regions(np.array(j)[:, None], np.array(m)[None, :]).tolist()
     assert region_of(-0.75, 0.25) is _region_by_scalar_rule(-0.75, 0.25) is Region.FORBIDDEN
+
+
+_EDGES = [-0.0, 0.0, 0.5, -0.5, -1.0, 1.0, 2.5, -1.5, 1e154, -1e154, 1.3e154, 2e154, 1e200, -1e200, 1e300,
+          -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("j", _EDGES)
+def test_region_of_edges_match_numpy_rule(j):
+    # j(j+1) and m(m±1) overflow to inf, inf - inf is nan, and nan compares
+    # false: every cell keeps the region the numpy rule gave it
+    assert [region_of(j, m) for m in _EDGES] == _numpy_regions(j, np.array(_EDGES)).tolist()
+
+
+_STEPS = st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.0625, 1 / 64, 0.1, 0.2, 0.3, 0.05, 0.7, 0.01, 1e300])
+
+
+@st.composite
+def _range_specs(draw, edges):
+    step = draw(_STEPS | st.floats(1e-3, 10.0))
+    lo = draw(st.sampled_from(edges) | st.floats(-6.0, 6.0) | st.floats(-1e300, 1e300))
+    hi = lo + draw(st.sampled_from([0.0, 0.0, 0.5]) | st.floats(0.0, 20.0)) * step
+    assume(math.isfinite(hi))
+    return f"{lo!r}:{hi!r}:{step!r}"
+
+
+@given(
+    j_spec=_range_specs([-0.5, -0.0, 0.0, -1.0, -4.0, 1e154, 2e154, -1e300, 1e300]),
+    m_spec=_range_specs([-0.5, 0.5, -0.0, 0.0, -1.0, -4.0, 1.3e154, -2e154, 1e200, -1e300, 1e300]),
+)
+@settings(max_examples=300, deadline=None)
+def test_region_grid_matches_numpy_reference(j_spec, m_spec):
+    # binary and decimal steps, single-point and empty axes, the j = -1/2 and
+    # m = ±1/2 edges, and magnitudes where the Casimir or m(m±1) overflow
+    j, m = _numpy_axis(j_spec), _numpy_axis(m_spec)
+    assert [v.hex() for v in parse_range_spec(j_spec)] == [v.hex() for v in j.tolist()]
+    assert [v.hex() for v in parse_range_spec(m_spec)] == [v.hex() for v in m.tolist()]
+    regions = _numpy_regions(j[:, None], m[None, :])
+    rows = [list(row) for row in region_rows(j.tolist(), m.tolist(), {r: [r] * m.size for r in Region})]
+    assert rows == regions.tolist()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["reps", "region-grid", "--j", j_spec, "--m", m_spec]) == 0
+    # the numpy command's rows: a j row over an empty m axis is its "j," prefix
+    text = "j,m,region\n" + "".join(
+        f"{jv:.6g}," + f"\n{jv:.6g},".join(f"{mv:.6g},{r.value}" for mv, r in zip(m.tolist(), row)) + "\n"
+        for jv, row in zip(j.tolist(), regions.tolist())
+    )
+    assert out.getvalue() == text
 
 
 @given(j=st.floats(-6.0, 5.0), m=st.floats(-6.0, 6.0))
