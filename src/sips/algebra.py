@@ -62,13 +62,17 @@ _R_PROBES = (0.75, 1.5, 2.0, 3.25, 5.0)
 
 
 class SectorFunction(
-    NamedTuple("SectorFunction", [("m", float), ("f", SampledFunction), ("derivatives", "tuple[NDArray[np.float64], ...]")])
+    NamedTuple(
+        "SectorFunction",
+        [("m", float), ("f", SampledFunction), ("derivatives", "tuple[NDArray[np.float64], ...]")],
+    )
 ):
     """A test function on sector m (the j₃ eigenvalue), carried as a jet:
     ``f`` and its exact derivatives on the same grid, ``derivatives`` =
     (f',) or (f', f''). Each ladder step uses up one derivative."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, m: float, f: SampledFunction, derivatives=()):
         import numpy as np

@@ -94,8 +94,8 @@ def parse_range_spec(spec: str) -> list[float]:
         raise ValueError(f"range {spec!r} exceeds the limit of {MAX_POINTS} points")
     # arange's values: min, min + step, then min + i·delta with delta the
     # difference of those two
-    delta = (lo + step) - lo
-    return [lo, lo + step][: math.ceil(length)] + [lo + i * delta for i in range(2, math.ceil(length))]
+    count, delta = math.ceil(length), (lo + step) - lo
+    return [lo, lo + step][:count] + [lo + i * delta for i in range(2, count)]
 
 
 def parse_params(model, text: str | None, fixed_a: float | None = None) -> ParameterPoint:

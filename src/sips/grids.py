@@ -21,6 +21,7 @@ class Grid(NamedTuple("Grid", [("x_min", float), ("x_max", float), ("n_points", 
     """Uniform grid of ``n_points`` nodes on ``[x_min, x_max]``."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, x_min: float, x_max: float, n_points: int):
         self = super().__new__(cls, x_min, x_max, n_points)
@@ -52,6 +53,7 @@ class SampledFunction(NamedTuple("SampledFunction", [("grid", Grid), ("values", 
     """A real function tabulated on a uniform grid."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, grid: Grid, values):
         import numpy as np

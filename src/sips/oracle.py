@@ -50,12 +50,15 @@ __all__ = [
 
 
 class TridiagonalOperator(
-    NamedTuple("TridiagonalOperator", [("diag", NDArray[np.float64]), ("off", NDArray[np.float64]), ("grid", Grid)])
+    NamedTuple(
+        "TridiagonalOperator", [("diag", NDArray[np.float64]), ("off", NDArray[np.float64]), ("grid", Grid)]
+    )
 ):
     """Symmetric tridiagonal discretization of -d²/dx² + V with ψ = 0 at the
     box edges. ``diag`` and ``off`` cover the interior nodes only."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, diag, off, grid: Grid):
         diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)

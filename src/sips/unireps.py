@@ -64,7 +64,9 @@ def _canonical_j(j: float) -> float:
     return min(j, -1.0 - j)
 
 
-class RepLabel(NamedTuple("RepLabel", [("rep_class", RepClass), ("j", float), ("m0", float), ("beta", float)])):
+class RepLabel(
+    NamedTuple("RepLabel", [("rep_class", RepClass), ("j", float), ("m0", float), ("beta", float)])
+):
     """A representation class with its label (j, m0).
 
     For ``D_P`` the label is j = -1/2 + iβ, stored as (j = -1/2, beta = β);
@@ -73,6 +75,7 @@ class RepLabel(NamedTuple("RepLabel", [("rep_class", RepClass), ("j", float), ("
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, rep_class: RepClass, j: float, m0: float, beta: float = 0.0):
         if rep_class in (RepClass.D_PLUS, RepClass.D_MINUS):
@@ -250,9 +253,10 @@ def region_rows(
     along an ascending j axis, so each threshold is crossed at most twice),
     and yields the previous row's list updated in place.
     """
+    # a nan column is forbidden at every c, so it has no threshold
     events = sorted(
         {(threshold, k)
-         for k, m in enumerate(m_values)
+         for k, m in enumerate(m_values) if not math.isnan(m)
          for threshold in (m * (m - 1.0), m * (m + 1.0), (abs(m) - 1.0) * abs(m))}
     )
     thresholds = [threshold for threshold, _ in events]

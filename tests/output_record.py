@@ -142,7 +142,8 @@ def _spectrum(rng: random.Random) -> list[str]:
     a = rng.choice([_real(rng), repr(round(rng.uniform(0.1, 12.0), 4)), repr(rng.uniform(0.1, 40.0)),
                     str(rng.randint(1, 9)), "5514385.8263"])
     B = rng.choice([_real(rng), repr(round(rng.uniform(0.01, 10.0), 3)), str(rng.randint(1, 3))])
-    params = {"scarf": f"a={a},B={B}", "morse": f"a={a},B={B}", "poschl_teller": f"a={a}", "oscillator": ""}[model]
+    params = {"scarf": f"a={a},B={B}", "morse": f"a={a},B={B}", "poschl_teller": f"a={a}",
+              "oscillator": ""}[model]
     if rng.random() < 0.15:  # a usage error
         model, params = rng.choice([("rosen_morse", params), (model, f"a={a},a={a}"), (model, f"B={B}"),
                                     (model, f"a={a},C=1")])

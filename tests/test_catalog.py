@@ -186,3 +186,20 @@ def test_morse_closed_forms_certified(a, B, expected):
     assert closed == pytest.approx(expected)
     numeric = spectrum("morse", p, model_grid("morse"), len(expected))
     assert np.max(np.abs(numeric - np.array(expected))) < 2e-3
+
+
+def test_records_are_frozen_and_replace_checks_again():
+    # the package's records are NamedTuples: immutable, equal and hashed by
+    # value, and _replace runs the record's own checks again
+    from sips import Grid, ParameterPoint, RepClass, RepLabel
+
+    grid = Grid(-1.0, 1.0, 5)
+    with pytest.raises(AttributeError):
+        grid.n_points = 7
+    assert grid == Grid(-1.0, 1.0, 5) and hash(grid) == hash(Grid(-1.0, 1.0, 5))
+    assert grid._replace(x_max=3.0).h == 1.0
+    with pytest.raises(ValueError, match="at least 3 points"):
+        grid._replace(n_points=1)
+    label = RepLabel(RepClass.D_PLUS, -1.5, 1.5)
+    assert label._replace(j=0.5) == label  # j is canonicalized to -1.5 again
+    assert ParameterPoint(3.0) == ParameterPoint(3.0, {}) and dict(ParameterPoint(3.0).aux) == {}

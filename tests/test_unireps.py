@@ -243,6 +243,12 @@ def test_region_of_edges_match_numpy_rule(j):
     assert [region_of(j, m) for m in _EDGES] == _numpy_regions(j, np.array(_EDGES)).tolist()
 
 
+def test_region_rows_at_the_edges():
+    # the edges as both axes, in an order whose Casimir jumps about
+    rows = [list(row) for row in region_rows(_EDGES, _EDGES, {r: [r] * len(_EDGES) for r in Region})]
+    assert rows == [[region_of(j, m) for m in _EDGES] for j in _EDGES]
+
+
 _STEPS = st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.0625, 1 / 64, 0.1, 0.2, 0.3, 0.05, 0.7, 0.01, 1e300])
 
 
