@@ -660,6 +660,13 @@ def test_import_sips_loads_no_numpy():
     assert loaded.stdout == "[]\n"
 
 
+def _cold_imports(argv):
+    # -X importtime names every module the process imports, one per stderr line
+    proc = _cold("-X", "importtime", "-m", "sips.cli", *argv)
+    assert proc.returncode == 0
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+
+
 # the library module each scalar command runs on, imported when it runs
 _SCALAR_MODULE = {"reps": "sips.unireps", "list": "sips.catalog", "spectrum": "sips.algebra"}
 
@@ -693,13 +700,6 @@ def test_scalar_reps_commands_load_no_numpy(tmp_path, argv):
     assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy", "dataclasses")]
     if "--out" in argv:
         assert out.read_text() == _cold("-m", "sips.cli", *argv[:-2]).stdout
-
-
-def _cold_imports(argv):
-    # -X importtime names every module the process imports, one per stderr line
-    proc = _cold("-X", "importtime", "-m", "sips.cli", *argv)
-    assert proc.returncode == 0
-    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
 
 
 # the numeric commands of the benchmark's cold mix, one of each kind
