@@ -27,7 +27,6 @@ import io
 import json
 import os
 import random
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -198,8 +197,7 @@ def _region_grid(rng: random.Random) -> list[str]:
 
 
 def corpus() -> list[list[str]]:
-    sys.path.insert(0, str(Path(__file__).parent))
-    from test_cli import _PARSER_CORPUS
+    from test_cli import _PARSER_CORPUS  # run as a script, tests/ leads sys.path
 
     rng = random.Random(SEED)
     seeded = [["list", *_format_and_out(rng)] for _ in range(8)]
