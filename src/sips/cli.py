@@ -20,7 +20,8 @@ wavefunction read it from --params, and spectrum's algebra route runs in
 the member's sector m = a + 1/2. algebra check reads the sector index from
 --m, which sets a = m - 1/2, so its --params gives only the auxiliaries and
 an a there is rejected. Every parser reads an option only when it is spelled
-in full: no prefix of an option stands for it.
+in full: no prefix of an option stands for it. main builds the parser of
+each command once per process and reuses it.
 
 Each cmd_* function computes and writes nothing: it returns (exit code,
 JSON document, text), and main writes the document for --format json and
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import math
 import os
@@ -92,9 +94,11 @@ def parse_range_spec(spec: str) -> list[float]:
     length = (hi + 0.5 * step - lo) / step
     if not length <= MAX_POINTS:
         raise ValueError(f"range {spec!r} exceeds the limit of {MAX_POINTS} points")
+    count, delta = math.ceil(length), (lo + step) - lo
+    if not count:  # max + step/2 rounds back to min: arange would hold no point
+        raise ValueError(f"bad range {spec!r}: the step vanishes against min and max, leaving no point")
     # arange's values: min, min + step, then min + i·delta with delta the
     # difference of those two
-    count, delta = math.ceil(length), (lo + step) - lo
     return [lo, lo + step][:count] + [lo + i * delta for i in range(2, count)]
 
 
@@ -546,6 +550,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser_for(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), built once per process: a parser keeps no state
+    between parse_args calls, its prog is the fixed "sips", and its help reads
+    the terminal width when it prints."""
+    return build_parser(command)
+
+
 def _normalize_argv(argv: list[str]) -> list[str]:
     # argparse misreads values like "-20:20:4001" as option strings; fold
     # them into --flag=value form so negative-leading specs parse.
@@ -571,7 +583,7 @@ def main(argv=None) -> int:
     argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
     # an argv that does not start with a command gets the whole tree, whose
     # help and errors list every command
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = _parser_for(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         for flag in ("levels", "n", "count"):

@@ -13,7 +13,6 @@ json.dumps(record, indent=2) + "\\n".
 from __future__ import annotations
 
 import errno
-import json
 import os
 import stat
 import tempfile
@@ -145,7 +144,10 @@ _ITEM = ",\n    "  # between the items of a top-level list in indent-2 JSON
 def json_chunks(payload: dict | list) -> Iterator[str]:
     """json.dumps(payload, indent=2) + "\\n" in chunks. A top-level "values"
     list of floats is written CHUNK items at a time with float.__repr__, the
-    text the indent-2 encoder gives each of them, at C speed."""
+    text the indent-2 encoder gives each of them, at C speed. ``json`` is
+    imported here, so the commands that write no JSON never load it."""
+    import json
+
     values = payload.get("values") if isinstance(payload, dict) else None
     if not (isinstance(values, list) and values and set(map(type, values)) == {float}):
         yield json.dumps(payload, indent=2) + "\n"

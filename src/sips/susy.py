@@ -22,10 +22,9 @@ from .catalog import (
     ParameterPoint,
     _require_level,
     default_grid,
+    evaluate_superpotential,
     get_model,
     max_bound_states,
-    potential_minus,
-    potential_plus,
 )
 from .grids import Grid, SampledFunction, node_count
 
@@ -158,6 +157,10 @@ def verify_shape_invariance(
     points of that residual less its rounding floor, 16·eps times
     |V+(x, a_k)| + |V-(x, a_{k+1})| + |R(a_k)|. All parameter points through
     a_{k_max} must be valid (InvalidParameterError otherwise).
+
+    W and W′ are evaluated once at each a_k, and V+(a_k) = W_k² + W′_k and
+    V-(a_{k+1}) = W_{k+1}² - W′_{k+1} are built from them, the sums
+    ``potential_plus`` and ``potential_minus`` form.
     """
     import numpy as np
 
@@ -167,14 +170,18 @@ def verify_shape_invariance(
     x = grid.x[1:-1]
     residuals = np.empty(k_max)
     excess = np.empty(k_max)
-    for k in range(k_max):
-        r = model.remainder(points[k])
-        lhs = potential_plus(model, x, points[k])
-        v_minus = potential_minus(model, x, points[k + 1])
-        diff = np.abs(lhs - (v_minus + r))
-        floor = _ROUNDING_FLOOR * (np.abs(lhs) + np.abs(v_minus) + abs(r))
-        residuals[k] = np.max(diff)
-        excess[k] = np.max(np.maximum(diff - floor, 0.0))
+    for k, p in enumerate(points if k_max > 0 else ()):
+        # evaluate_superpotential checks p as the partner potentials do
+        square, slope = evaluate_superpotential(model, x, p) ** 2, model.w_prime(x, p)
+        if k:
+            r = model.remainder(points[k - 1])
+            lhs = below[0] + below[1]  # V+(a_{k-1})
+            v_minus = square - slope  # V-(a_k)
+            diff = np.abs(lhs - (v_minus + r))
+            floor = _ROUNDING_FLOOR * (np.abs(lhs) + np.abs(v_minus) + abs(r))
+            residuals[k - 1] = np.max(diff)
+            excess[k - 1] = np.max(np.maximum(diff - floor, 0.0))
+        below = square, slope
     return ShapeInvarianceReport(model.id, p0, grid, residuals, excess)
 
 

@@ -266,6 +266,20 @@ def test_nonfinite_grid_rejected(capsys, command, grid):
         assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "j,m,bad",
+    [("1e20:1e20:1", "0:1:1", "1e20:1e20:1"),
+     ("-0.5:-0.5:1", "4503599627370496:4503599627370496:1", "4503599627370496:4503599627370496:1"),
+     ("1e300:1e300:0.7", "1e154:1e154:0.3", "1e300:1e300:0.7")],
+)
+def test_range_without_a_point_rejected(capsys, j, m, bad):
+    # max + step/2 rounds back to min, so arange(min, max + step/2, step)
+    # holds no point: the first such range is named, as other bad ranges are
+    code, out, err = run(capsys, "reps", "region-grid", "--j", j, "--m", m)
+    usage_error(code, out, err)
+    assert err == f"error: bad range '{bad}': the step vanishes against min and max, leaving no point\n"
+
+
 @pytest.mark.parametrize("params", ["a=inf", "a=3,B=nan"])
 def test_nonfinite_params_rejected(capsys, params):
     code, out, err = run(capsys, "spectrum", "--model", "scarf", "--params", params)
@@ -716,6 +730,21 @@ def test_numeric_commands_load_no_dataclasses(tmp_path, argv):
     imported = _cold_imports([str(tmp_path / "psi.csv") if arg == "OUT" else arg for arg in argv])
     assert "numpy" in imported
     assert "dataclasses" not in imported
+
+
+@pytest.mark.parametrize(
+    "argv,writes_json",
+    [
+        (["list"], False),
+        (["reps", "classify", "--j", "-1.5", "--m0", "1.5"], False),
+        (["reps", "region-grid", "--j", "-2:3:0.125", "--m", "-2.5:2.5:0.125"], False),
+        (["wavefunction", "--model", "morse", "--params", "a=3,B=1", "--n", "2", "--out", "OUT"], False),
+        (["list", "--format", "json"], True),
+    ],
+)
+def test_json_loaded_only_by_json_output(tmp_path, argv, writes_json):
+    imported = _cold_imports([str(tmp_path / "psi.csv") if arg == "OUT" else arg for arg in argv])
+    assert ("json" in imported) is writes_json
 
 
 def test_numeric_commands_after_numpy_free_command(capsys):
@@ -1221,7 +1250,9 @@ def test_count_at_limit_accepted(capsys):
 
 @contextlib.contextmanager
 def _built_parsers():
-    """The parsers cli.main builds while the block runs."""
+    """The parsers cli.main builds while the block runs. main keeps the
+    parser of each command for the process, so the block starts with none."""
+    cli._parser_for.cache_clear()
     built, build = [], cli.build_parser
 
     def spy(*args, **kwargs):
@@ -1308,6 +1339,18 @@ def test_unread_options_are_rejected(argv):
         assert "error: unrecognized arguments: " in err
 
 
+def _built_progs(monkeypatch):
+    # the prog of every argparse parser built from here on
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
 @pytest.mark.parametrize(
     "argv,progs",
     [
@@ -1322,20 +1365,55 @@ def test_unread_options_are_rejected(argv):
     ],
 )
 def test_main_builds_only_the_invoked_command(monkeypatch, capsys, argv, progs):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self.prog)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    built = _built_progs(monkeypatch)
+    cli._parser_for.cache_clear()
     try:
         main(argv)
     except SystemExit:
         pass
     capsys.readouterr()
     assert built == progs
+
+
+def test_main_reuses_the_parser_of_a_command(monkeypatch, capsys):
+    # a second main call for a command builds no parser
+    built = _built_progs(monkeypatch)
+    cli._parser_for.cache_clear()
+    for argv, progs in [(["list"], ["sips", "sips list"]), (["list", "--format", "json"], []),
+                        (["reps", "classify", "--j", "1", "--m0", "2"], ["sips", "sips reps"] + [
+                            f"sips reps {name}" for name in ("classify", "enumerate", "region-grid")]),
+                        (["reps", "enumerate", "--j", "-1.5", "--m0", "1.5"], []), (["list", "-h"], [])]:
+        built.clear()
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert built == progs
+    capsys.readouterr()
+
+
+def _outcomes(capsys, argvs, fresh=False):
+    # exit code (or argparse's SystemExit code), stdout and stderr of each
+    # argv through main; fresh builds a new parser for every argv
+    outcomes = []
+    for argv in argvs:
+        if fresh:
+            cli._parser_for.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def test_reused_parsers_give_the_outcomes_of_fresh_ones(capsys):
+    # help, usage errors and successes, mixed: a parser that has
+    # parsed, printed help or exited gives the next argv what a new one does
+    fresh = _outcomes(capsys, _PARSER_CORPUS, fresh=True)
+    assert {code for code, *_ in fresh} == {0, 2}
+    assert _outcomes(capsys, _PARSER_CORPUS) == fresh
+    assert _outcomes(capsys, _PARSER_CORPUS) == fresh
 
 
 # Strategies over the CLI grammar. Accepted grids and rasters stay small (at
@@ -1612,3 +1690,57 @@ def test_closed_form_hint_saves_the_unhinted_solve(capsys, monkeypatch):
     numeric = json.loads(out)["spectrum"]["numeric"]
     # ABSTOL 1e-6, plus eps·‖T‖₁ (about 4e-10 on this grid)
     assert np.max(np.abs(np.subtract(numeric, plain["spectrum"]["numeric"]))) <= 1e-6 + 1e-9
+
+
+def _dstebz_spy(monkeypatch):
+    # record the RANGE of every dstebz call the referee makes
+    import types
+
+    import sips.oracle
+
+    lapack, calls = sips.oracle._lapack(), []
+
+    def dstebz(*args):
+        calls.append(args[2])
+        return lapack.dstebz(*args)
+
+    spy = types.SimpleNamespace(dstebz=dstebz, dstein=lapack.dstein)
+    monkeypatch.setattr(sips.oracle, "_lapack", lambda: spy)
+    return calls
+
+
+_OSCILLATOR_32 = ["verify", "--model", "oscillator", "--levels", "32", "--format", "json"]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.2, -0.2])
+def test_windows_follow_the_levels_below(capsys, monkeypatch, offset):
+    # the oscillator's 32 levels on its default grid lie up to 1.24e-2 below
+    # their closed forms, 12 times the first half-width. Its even and odd
+    # blocks hold 16 levels each: every window but the top one is centred on
+    # its closed form plus the offset found below it, so it holds its level
+    # at once, and the top window, bisected first, is widened to reach its
+    # level. A hint off by a constant offset costs the two lowest windows
+    # their widenings too, and still certifies.
+    import sips.oracle
+
+    spectrum = sips.oracle.spectrum
+    solves = _hint_spy(monkeypatch, "none")
+    plain = json.loads(run(capsys, *_OSCILLATOR_32)[1])["spectrum"]["numeric"]
+
+    def shifted(model, p, grid, k, tol, near):
+        return spectrum(model, p, grid, k, tol, near=None if near is None else [e + offset for e in near])
+
+    monkeypatch.setattr(sips.oracle, "spectrum", shifted)
+    solves.clear()
+    calls = _dstebz_spy(monkeypatch)
+    code, out, err = run(capsys, *_OSCILLATOR_32)
+    assert (code, err, solves) == (1, "", [])
+    # RANGE='V' windows only: 32 bisections, the top certificates and the
+    # widenings. Windows centred on the closed forms alone took 68, 136 and
+    # 130 calls at these offsets.
+    assert set(calls) == {1}
+    assert len(calls) <= {0.0: 42, 0.2: 52, -0.2: 46}[offset]
+    numeric = json.loads(out)["spectrum"]["numeric"]
+    # ABSTOL 1e-6, plus eps·‖T‖₁ (about 1e-11 on this grid)
+    assert np.max(np.abs(np.subtract(numeric, plain))) <= 1e-6 + 1e-9
+

@@ -119,6 +119,50 @@ def test_shape_invariance_no_shifts():
     assert report.max_residual == 0.0
 
 
+def _identity_by_partner_potentials(model, p0, grid, k_max):
+    # the reference: V+(a_k) and V-(a_{k+1}) from the catalog's partner
+    # potentials at each k, so W and W′ at a_1..a_{k_max-1} are evaluated twice
+    model = get_model(model)
+    points = [shift_params(model, p0, k) for k in range(k_max + 1)]
+    x = grid.x[1:-1]
+    residuals, excess = np.empty(k_max), np.empty(k_max)
+    for k in range(k_max):
+        r = model.remainder(points[k])
+        lhs = potential_plus(model, x, points[k])
+        v_minus = potential_minus(model, x, points[k + 1])
+        diff = np.abs(lhs - (v_minus + r))
+        floor = 16.0 * np.finfo(float).eps * (np.abs(lhs) + np.abs(v_minus) + abs(r))
+        residuals[k] = np.max(diff)
+        excess[k] = np.max(np.maximum(diff - floor, 0.0))
+    return residuals, excess
+
+
+@given(
+    model_id=st.sampled_from(["scarf", "poschl_teller", "morse", "oscillator"]),
+    a=st.floats(0.05, 12.0) | st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, float("nan")]),
+    B=st.floats(-3.0, 3.0) | st.sampled_from([0.0, 1.0]),
+    box=st.sampled_from([(-20.0, 20.0), (-6.0, 20.0), (-3.0, 5.0)]),
+    n_points=st.integers(3, 2001),
+    k_max=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_shape_invariance_matches_partner_potentials(model_id, a, B, box, n_points, k_max):
+    # W and W′ once per shifted a give the residuals and excess of the
+    # per-k partner potentials bit for bit, and an invalid shifted point the
+    # same error
+    p0, grid = ParameterPoint(a, {"B": B} if model_id in ("scarf", "morse") else {}), Grid(*box, n_points)
+    try:
+        residuals, excess = _identity_by_partner_potentials(model_id, p0, grid, k_max)
+    except InvalidParameterError as exc:
+        with pytest.raises(InvalidParameterError) as raised:
+            verify_shape_invariance(model_id, p0, grid, k_max=k_max)
+        assert str(raised.value) == str(exc)
+        return
+    report = verify_shape_invariance(model_id, p0, grid, k_max=k_max)
+    assert report.residuals.tobytes() == residuals.tobytes()
+    assert report.excess.tobytes() == excess.tobytes()
+
+
 def test_shape_invariance_default_grid_is_model_box():
     # on a fixed [-20, 20] box e^(-2x) costs W² its digits (residual 64)
     report = verify_shape_invariance("morse", ParameterPoint(5.0, {"B": 1.0}))
