@@ -22,9 +22,11 @@ g' = ±f'' - W'·f - W·f', from W and W' alone, as the susy ladder carries
 (ψ, ψ'). The checks below therefore measure the algebra to within rounding.
 
 The spectrum is read off representation labels (``unireps``): the member a
-sits in sector m = a + 1/2, and its level n is |j = n - m, m⟩ in the D⁺
-multiplet with bottom m₀ = m - n, at the energy m² - m - j(j+1), which
-``spectrum --route both`` sets against Σ R for the same member.
+sits in sector m = a + 1/2 (``sector_of``, whose inverse is ``member_of``),
+and its level n is |j = n - m, m⟩ in the D⁺ multiplet with bottom
+m₀ = m - n, at the energy m² - m - j(j+1). ``compare_routes`` sets those
+levels against Σ R for the same member and gives the verdict that
+``spectrum --route both`` reports.
 That route is scalar, so importing the module loads no numpy; the jet and
 closure functions import it when they run.
 """
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .catalog import ParameterPoint, _partner_potential, get_model, max_bound_states
 from .errors import NotSO21Error
 from .grids import Grid, SampledFunction
-from .susy import _ROUNDING_FLOOR, Spectrum
+from .susy import ROUNDING_FLOOR, Spectrum
 from .unireps import classify
 
 if TYPE_CHECKING:
@@ -46,6 +48,9 @@ if TYPE_CHECKING:
 __all__ = [
     "SectorFunction",
     "So21Check",
+    "RouteComparison",
+    "sector_of",
+    "member_of",
     "gaussian_suite",
     "apply_j3",
     "apply_j_plus",
@@ -54,6 +59,7 @@ __all__ = [
     "closure_residual",
     "energy_from_algebra",
     "algebra_spectrum",
+    "compare_routes",
     "is_so21",
 ]
 
@@ -82,6 +88,16 @@ class SectorFunction(
         if len(derivatives) > 2 or any(d.shape != f.values.shape for d in derivatives):
             raise ValueError("a jet holds f' and at most f'', each sampled on the grid of f")
         return super().__new__(cls, m, f, derivatives)
+
+
+def sector_of(a: float) -> float:
+    """The sector m = a + 1/2 in which the member a sits."""
+    return a + 0.5
+
+
+def member_of(m: float) -> float:
+    """The member a = m - 1/2 that sits in sector m: ``sector_of`` inverted."""
+    return m - 0.5
 
 
 def gaussian_suite(grid: Grid, m: float) -> dict[str, SectorFunction]:
@@ -124,10 +140,11 @@ def _apply_ladder(model, s: SectorFunction, p: ParameterPoint | None, sign: floa
         raise ValueError("the test function's jet has no derivative left for a ladder step")
     model = get_model(model)
     grid = s.f.grid
+    x = grid.x  # a fresh linspace on each read
     point = _sector_point(s.m + 0.5 * sign, p)
-    w = np.asarray(model.w(grid.x, point), dtype=float)
+    w = np.asarray(model.w(x, point), dtype=float)
     f, (df, *d2f) = s.f.values, s.derivatives
-    dg = tuple(sign * d2 - model.w_prime(grid.x, point) * f - w * df for d2 in d2f)
+    dg = tuple(sign * d2 - model.w_prime(x, point) * f - w * df for d2 in d2f)
     return SectorFunction(s.m + sign, SampledFunction(grid, sign * df - w * f), dg)
 
 
@@ -185,7 +202,6 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
     import numpy as np
 
     model = get_model(model)
-    grid = s.f.grid
     f = s.f.values
     norm_f = _l2(f)
     if norm_f == 0.0:
@@ -200,8 +216,9 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
     closure = _l2(commutator + r_value * f) / norm_f
 
     f_xx = s.derivatives[1]
-    v_minus = _partner_potential(model, grid.x, p_minus, -1.0)
-    v_plus = _partner_potential(model, grid.x, p_plus, 1.0)
+    x = s.f.grid.x
+    v_minus = _partner_potential(model, x, p_minus, -1.0)
+    v_plus = _partner_potential(model, x, p_plus, 1.0)
     product_pm = _l2(jp_jm - (-f_xx + v_minus * f)) / norm_f
     product_mp = _l2(jm_jp - (-f_xx + v_plus * f)) / norm_f
     floor = max(_l2((np.abs(v_plus) + np.abs(v_minus) + abs(r_value)) * f) / norm_f, abs(s.m))
@@ -211,7 +228,7 @@ def closure_residual(model, s: SectorFunction, p: ParameterPoint | None = None) 
         "remainder_value": r_value,
         "product_plus_minus": product_pm,
         "product_minus_plus": product_mp,
-        "rounding_floor": _ROUNDING_FLOOR * floor,
+        "rounding_floor": ROUNDING_FLOOR * floor,
     }
 
 
@@ -270,9 +287,31 @@ def algebra_spectrum(model, p0: ParameterPoint, n_max: int) -> Spectrum:
         raise NotSO21Error(f"{model.id}: {check.reason}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    m = p0.a + 0.5
+    m = sector_of(p0.a)
     n_levels = min(n_max, max_bound_states(model, p0))
     labels = [classify(n - m, m - n) for n in range(n_levels)]
     energies = [n * ((m - 1.0) + label.m0) if n else 0.0 for n, label in enumerate(labels)]
     points = [p0.with_a(p0.a - k) for k in range(n_levels)]
     return Spectrum(model.id, p0, energies, points)
+
+
+class RouteComparison(NamedTuple):
+    """The two routes' levels for one member, side by side: the largest
+    |E_shape - E_algebra| and whether every level n agrees to within the
+    rounding floor ROUNDING_FLOOR·n·|E_n|."""
+
+    max_discrepancy: float
+    agree: bool
+
+
+def compare_routes(shape: Spectrum, algebra: Spectrum) -> RouteComparison:
+    """Set the shape-invariance spectrum against the algebra's for the same
+    member. Level n of the shape route is a partial sum of n positive terms,
+    which rounds by about n·eps·E_n, so a gap at level n counts as a
+    disagreement only beyond ROUNDING_FLOOR·n·|E_n|, with E_n the algebra's
+    level; both ground levels are exactly 0."""
+    gaps = [abs(e_shape - e) for e_shape, e in zip(shape.energies, algebra.energies)]
+    agree = not any(
+        gap > ROUNDING_FLOOR * n * abs(e) for n, (gap, e) in enumerate(zip(gaps, algebra.energies))
+    )
+    return RouteComparison(max(gaps), agree)

@@ -82,7 +82,9 @@ class SuperpotentialModel(NamedTuple):
     point; ``energy`` is the closed-form E_n; ``bound_states``
     counts normalizable levels; ``continuum_edge`` returns the threshold
     energy above which the spectrum is continuous (None if the potential
-    confines on both sides).
+    confines on both sides). ``default_a`` is the a of a member given
+    without one, or None when a must be given (the oscillator's a is inert,
+    so it may be left out and reads 1).
     """
 
     id: str
@@ -101,6 +103,7 @@ class SuperpotentialModel(NamedTuple):
     # Box on which wavefunction tails at sensible parameters are negligible
     # and the closed-form V± evaluate without catastrophic cancellation.
     default_box: tuple[float, float]
+    default_a: float | None = None
 
     def describe(self) -> dict:
         return {
@@ -273,6 +276,7 @@ _OSCILLATOR = SuperpotentialModel(
     validity=f"any parameters (level count capped at {OSCILLATOR_LEVEL_CAP})",
     continuum_edge=lambda p: None,
     default_box=(-20.0, 20.0),
+    default_a=1.0,
 )
 
 MODELS: dict[str, SuperpotentialModel] = {

@@ -15,13 +15,10 @@ MAX_LEVEL_POINTS are rejected, so no input can ask for unbounded work. A
 that overflows: a report holding inf or nan is no JSON, so main exits 2
 naming the field instead, whatever the format.
 
-The member's a has one source per command. spectrum, verify and
-wavefunction read it from --params, and spectrum's algebra route runs in
-the member's sector m = a + 1/2. algebra check reads the sector index from
---m, which sets a = m - 1/2, so its --params gives only the auxiliaries and
-an a there is rejected. Every parser reads an option only when it is spelled
-in full: no prefix of an option stands for it. main builds the parser of
-each command once per process and reuses it.
+The member's a has one source per command: --params, or algebra check's
+sector --m, whose member ``algebra`` gives (an a in its --params is refused).
+A value that is no number exits 2 naming its option, no option is read by a
+prefix, and main builds the parser of each command once per process.
 
 Each cmd_* function computes and writes nothing: it returns (exit code,
 JSON document, text), and main writes the document for --format json and
@@ -63,7 +60,17 @@ MAX_POINTS = 1_000_000
 # and wavefunction about one (at the other limits: most of an hour, minutes).
 MAX_LEVEL_POINTS = 20_000_000
 
-_USAGE_ERRORS = (SipsError, KeyError, ValueError)
+
+class _NotANumber(ValueError):
+    """A part of an option's value that float() or int() refuses."""
+
+
+def _number(text: str, what: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        kind_name = "an integer" if kind is int else "a number"
+        raise _NotANumber(f"{what}: {text!r} is not {kind_name}") from None
 
 
 def parse_grid_spec(spec: str) -> Grid:
@@ -73,10 +80,11 @@ def parse_grid_spec(spec: str) -> Grid:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be min:max:n, got {spec!r}")
-    n_points = int(parts[2])
+    what = f"--grid {spec!r}"
+    n_points = _number(parts[2], what, int)
     if n_points > MAX_POINTS:
         raise ValueError(f"--grid of {n_points} points exceeds the limit of {MAX_POINTS}")
-    return Grid(float(parts[0]), float(parts[1]), n_points)
+    return Grid(_number(parts[0], what), _number(parts[1], what), n_points)
 
 
 def parse_range_spec(spec: str) -> list[float]:
@@ -85,7 +93,7 @@ def parse_range_spec(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range spec must be min:max:step, got {spec!r}")
-    lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
+    lo, hi, step = (_number(part, f"range {spec!r}") for part in parts)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bad range {spec!r}: min and max must be finite numbers")
     if not (0.0 < step < math.inf and lo <= hi):
@@ -127,15 +135,10 @@ def parse_params(model, text: str | None, fixed_a: float | None = None) -> Param
                     f"unknown parameter {key!r} for model {model.id} "
                     f"(takes {', '.join(model.param_names)})"
                 )
-            values[key] = float(raw)
-    if "a" not in values:
-        if fixed_a is not None:
-            values["a"] = fixed_a
-        elif model.id == "oscillator":
-            values["a"] = 1.0  # a is inert for the degenerate shift
-        else:
-            raise ValueError(f"model {model.id} requires a=... in --params")
-    a = values.pop("a")
+            values[key] = _number(raw, f"parameter {key!r} in --params")
+    a = values.pop("a", model.default_a if fixed_a is None else fixed_a)
+    if a is None:
+        raise ValueError(f"model {model.id} requires a=... in --params")
     return ParameterPoint(a, values)
 
 
@@ -206,11 +209,9 @@ def cmd_list(args) -> tuple:
 
 
 def cmd_spectrum(args) -> tuple:
-    from . import algebra as alg
-    from . import export, susy
-    from .catalog import get_model
+    from . import algebra as alg, catalog, export, susy
 
-    model = get_model(args.model)
+    model = catalog.get_model(args.model)
     route, levels = args.route, args.levels
     p = parse_params(model, args.params)
 
@@ -222,18 +223,16 @@ def cmd_spectrum(args) -> tuple:
         lines.append(f"shape-invariance: {export.format_energies(shape_spec.energies)}")
     if route in ("algebra", "both"):
         algebra_spec = alg.algebra_spectrum(model, p, levels)
-        m = p.a + 0.5  # the member's sector, as algebra_spectrum reads it
+        m = alg.sector_of(p.a)
         payload["algebra"] = algebra_spec.to_dict()
         payload["algebra"]["m"] = m
         lines.append(f"algebra (m={m:g}): {export.format_energies(algebra_spec.energies)}")
     exit_code = 0
     if route == "both":
-        reference = algebra_spec.energies
-        gaps = [abs(shape - e) for shape, e in zip(shape_spec.energies, reference)]
-        payload["max_discrepancy"] = max(gaps)
-        lines.append(f"max discrepancy: {payload['max_discrepancy']:.3e}")
-        # a partial sum of n positive terms rounds by about n·eps·E_n
-        if any(gap > susy._ROUNDING_FLOOR * n * abs(e) for n, (gap, e) in enumerate(zip(gaps, reference))):
+        routes = alg.compare_routes(shape_spec, algebra_spec)
+        payload["max_discrepancy"] = routes.max_discrepancy
+        lines.append(f"max discrepancy: {routes.max_discrepancy:.3e}")
+        if not routes.agree:
             lines.append("ROUTE DISAGREEMENT beyond the rounding floor 16*eps*n*|E_n|")
             exit_code = 1
     return exit_code, payload, "\n".join(lines)
@@ -241,9 +240,8 @@ def cmd_spectrum(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     from . import catalog, export, oracle, susy
-    from .catalog import get_model
 
-    model = get_model(args.model)
+    model = catalog.get_model(args.model)
     p = parse_params(model, args.params)
     grid = _grid(args, model)
     tol = args.tol
@@ -289,11 +287,9 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_wavefunction(args) -> tuple:
-    from . import catalog, export, oracle, susy
-    from .catalog import get_model
-    from .grids import node_count
+    from . import catalog, export, grids, oracle, susy
 
-    model = get_model(args.model)
+    model = catalog.get_model(args.model)
     p = parse_params(model, args.params)
     grid = _grid(args, model)
     n = args.n
@@ -312,7 +308,7 @@ def cmd_wavefunction(args) -> tuple:
         "params": p.as_dict(),
         "n": n,
         "energy": energy,
-        "node_count": node_count(psi),
+        "node_count": grids.node_count(psi),
         "oracle_residual": oracle.residual_norm(T, psi, energy),
     }
     # the record's values list is built only when it is written
@@ -322,16 +318,15 @@ def cmd_wavefunction(args) -> tuple:
 
 
 def cmd_algebra_check(args) -> tuple:
-    from . import algebra as alg
-    from .catalog import get_model
+    from . import algebra as alg, catalog
 
-    model = get_model(args.model)
+    model = catalog.get_model(args.model)
     m, tol = args.m, args.tol
     if not math.isfinite(m):
         raise ValueError(f"--m {m:g} must be a finite number")
     grid = _grid(args, model)
-    # sector m fixes a = m - 1/2; --params supplies only the auxiliaries
-    aux_p = parse_params(model, args.params, fixed_a=m - 0.5)
+    # sector m fixes the member's a; --params supplies only the auxiliaries
+    aux_p = parse_params(model, args.params, fixed_a=alg.member_of(m))
 
     worst = floor = 0.0
     reports = []
@@ -416,8 +411,13 @@ def cmd_reps_enumerate(args) -> tuple:
 def cmd_reps_region_grid(args) -> tuple:
     from . import unireps
 
-    j_values = parse_range_spec(args.j)
-    m_values = parse_range_spec(args.m)
+    axes = []
+    for flag, spec in (("--j", args.j), ("--m", args.m)):
+        try:
+            axes.append(parse_range_spec(spec))
+        except _NotANumber as exc:
+            raise ValueError(f"{flag} {exc}") from None
+    j_values, m_values = axes
     if len(j_values) * len(m_values) > MAX_POINTS:
         raise ValueError(
             f"raster of {len(j_values)}x{len(m_values)} cells exceeds the limit of {MAX_POINTS}"
@@ -608,7 +608,7 @@ def main(argv=None) -> int:
                 text = json_chunks(document)
             _emit(text, args.out)
         return code
-    except _USAGE_ERRORS as exc:
+    except (SipsError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

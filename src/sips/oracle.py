@@ -150,20 +150,27 @@ def lowest_eigenvalues(
         raise ValueError(f"requested {k} eigenvalues from a {T.size}-point operator")
     if near is not None:
         near = [float(e) for e in near]
+    _check_finite(T.diag, T.off)
     halves = _persymmetric_halves(T)
     if halves is None:
-        return _hinted_stebz(T.diag, T.off, k, abstol, near)
-    # The odd block is a leading principal submatrix of the even one (odd
-    # size), or the even block plus a positive rank-one term (even size), so
-    # by Cauchy interlacing the levels alternate even, odd, even, ...: the k
-    # lowest are the ⌈k/2⌉ lowest even ones and the ⌊k/2⌋ lowest odd ones,
-    # whose estimates are near[0::2] and near[1::2].
-    levels = [
-        _hinted_stebz(diag, off, count, abstol, None if near is None else near[parity::2])
-        for parity, ((diag, off), count) in enumerate(zip(halves, ((k + 1) // 2, k // 2)))
-        if count
-    ]
-    return np.sort(np.concatenate(levels))
+        blocks = [(T.diag, T.off, k, near)]
+    else:
+        # The odd block is a leading principal submatrix of the even one (odd
+        # size), or the even block plus a positive rank-one term (even size),
+        # so by Cauchy interlacing the levels alternate even, odd, even, ...:
+        # the k lowest are the ⌈k/2⌉ lowest even ones and the ⌊k/2⌋ lowest odd
+        # ones, whose estimates are near[0::2] and near[1::2].
+        blocks = [
+            (diag, off, count, None if near is None else near[parity::2])
+            for parity, ((diag, off), count) in enumerate(zip(halves, ((k + 1) // 2, k // 2)))
+            if count
+        ]
+    levels = []
+    for diag, off, count, hint in blocks:
+        # a hint whose windows do not certify the levels is dropped
+        found = None if hint is None else _windowed(diag, off, count, abstol, hint)
+        levels.append(_stebz(diag, off, count, abstol) if found is None else found)
+    return levels[0] if halves is None else np.sort(np.concatenate(levels))
 
 
 @functools.cache
@@ -206,7 +213,8 @@ def _checked(routine: str, info: int) -> None:
 
 def _check_finite(diag: NDArray[np.float64], off: NDArray[np.float64]) -> None:
     # as scipy's wrappers do: a nan or inf is the caller's error, and stebz
-    # has no check of its own
+    # has no check of its own. Each public solver checks its T once; the
+    # helpers below trust T and the blocks derived from it.
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
 
@@ -215,19 +223,11 @@ def _stebz(diag, off, k: int, abstol: float) -> NDArray[np.float64]:
     """The k lowest eigenvalues of one tridiagonal, ascending: the stebz call
     of ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i",
     select_range=(0, k - 1), tol=abstol)``, bit for bit."""
-    _check_finite(diag, off)
     if diag.size == 1:  # f2py rejects an empty off-diagonal
         return diag.copy()
     m, w, _, _, info = _lapack().dstebz(diag, off, 2, 0.0, 0.0, 1, k, abstol, "E")
     _checked("dstebz", info)
     return w[:m]
-
-
-def _hinted_stebz(diag, off, k: int, abstol: float, near) -> NDArray[np.float64]:
-    """``_stebz``, or the windowed bisection of ``_windowed`` when a hint is
-    given and its windows certify the k levels."""
-    levels = None if near is None else _windowed(diag, off, k, abstol, near)
-    return _stebz(diag, off, k, abstol) if levels is None else levels
 
 
 def _windowed(diag, off, k: int, abstol: float, near: list):
@@ -257,7 +257,6 @@ def _windowed(diag, off, k: int, abstol: float, near: list):
     """
     if len(near) != k or diag.size == 1:  # f2py rejects an empty off-diagonal
         return None
-    _check_finite(diag, off)
     dstebz = _lapack().dstebz
     levels = np.empty(k)
     floor, ceiling = -np.inf, np.inf  # above the windows below, below the top one
@@ -315,12 +314,15 @@ def _persymmetric_halves(T: TridiagonalOperator):
     diag, off = T.diag, np.abs(T.off)
     mirror = diag[::-1]
     norm = np.abs(diag).max() + 2.0 * off.max(initial=0.0)
-    if not np.isfinite(norm):  # a nan or inf, for _stebz to reject
+    if not np.isfinite(norm):  # a finite norm keeps every block below finite
         return None
     palindrome = np.abs(diag - mirror).max() <= 2.0 * np.finfo(float).eps * norm
     if not (palindrome and np.array_equal(off, off[::-1])):
         return None
-    diag = 0.5 * (diag + mirror)
+    # halved before the sum, which overflows for entries near the largest
+    # float: the same bits as 0.5·(diag + mirror) wherever that does not
+    # overflow, except for entries below 2⁻¹⁰²¹, whose halves round
+    diag = 0.5 * diag + 0.5 * mirror
     m = diag.size // 2
     if diag.size % 2:
         even_off = off[:m].copy()

@@ -41,6 +41,7 @@ __all__ = [
     "ground_state",
     "excited_state_by_ladder",
     "node_count",
+    "ROUNDING_FLOOR",
 ]
 
 
@@ -144,7 +145,8 @@ class ShapeInvarianceReport(NamedTuple):
 # the residual there is rounding. 16·eps times
 # |V+| + |V-| + |R| at a point bounds that rounding with room to spare; in
 # the well it is ~1e-14, so a wrong identity still shows at full sensitivity.
-_ROUNDING_FLOOR = 16.0 * sys.float_info.epsilon
+# The algebra's closure checks and its route comparison scale the same floor.
+ROUNDING_FLOOR = 16.0 * sys.float_info.epsilon
 
 
 def verify_shape_invariance(
@@ -178,7 +180,7 @@ def verify_shape_invariance(
             lhs = below[0] + below[1]  # V+(a_{k-1})
             v_minus = square - slope  # V-(a_k)
             diff = np.abs(lhs - (v_minus + r))
-            floor = _ROUNDING_FLOOR * (np.abs(lhs) + np.abs(v_minus) + abs(r))
+            floor = ROUNDING_FLOOR * (np.abs(lhs) + np.abs(v_minus) + abs(r))
             residuals[k - 1] = np.max(diff)
             excess[k - 1] = np.max(np.maximum(diff - floor, 0.0))
         below = square, slope

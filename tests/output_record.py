@@ -7,9 +7,10 @@ directory. The corpus is the parser corpus of ``test_cli.py`` less the argvs
 that run ``verify``, ``wavefunction`` or ``algebra check`` (their numbers come
 from numpy and LAPACK, which differ across builds), the README's ``list``,
 ``spectrum`` and ``reps`` commands, a few usage errors of the numeric commands
-raised before any numeric work, and a few hundred seeded ``list``,
-``spectrum`` and ``reps classify|enumerate|region-grid`` argvs. All of these
-are pure-Python IEEE arithmetic and argparse, so they compare byte for byte.
+raised before any numeric work, a few option values in the wrong form, and a
+few hundred seeded ``list``, ``spectrum`` and
+``reps classify|enumerate|region-grid`` argvs. All of these are pure-Python
+IEEE arithmetic and argparse, so they compare byte for byte.
 
 ``test_output_record.py`` replays the record. A change that means to alter
 output rewrites it:
@@ -98,6 +99,18 @@ _NUMERIC_USAGE_ERRORS = [
     ["algebra", "check", "--model", "scarf", "--m", "2", "--params", "a=3"],
     ["algebra", "check", "--model", "scarf", "--m", "nan"],
     ["algebra", "check", "--model", "oscillator", "--m", "2", "--tol", "-1"],
+]
+
+# option values in the wrong form: a --params item that is not key=value,
+# an empty one (skipped), and parts of --params, --grid and range values that
+# are no number
+_VALUE_FORMS = [
+    ["spectrum", "--model", "scarf", "--params", "a3"],
+    ["spectrum", "--model", "scarf", "--params", "a=3,,B=1"],
+    ["spectrum", "--model", "scarf", "--params", "a=x,B=1"],
+    ["verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:20:4001.5"],
+    ["verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "a:b:11"],
+    ["reps", "region-grid", "--j", "0:1:x", "--m", "0:1:1"],
 ]
 
 _NUMERIC_COMMANDS = ("cmd_verify", "cmd_wavefunction", "cmd_algebra_check")
@@ -206,7 +219,7 @@ def corpus() -> list[list[str]]:
     seeded += [_label(rng, "enumerate") for _ in range(60)]
     seeded += [_region_grid(rng) for _ in range(100)]
     argvs = [argv for argv in _PARSER_CORPUS if not _runs_numeric_command(argv)]
-    argvs += _README + _NUMERIC_USAGE_ERRORS + seeded
+    argvs += _README + _NUMERIC_USAGE_ERRORS + _VALUE_FORMS + seeded
     unique = []
     for argv in argvs:
         if argv not in unique:

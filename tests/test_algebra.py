@@ -25,6 +25,7 @@ from sips import (
 )
 from sips import algebra, unireps
 from sips.algebra import gaussian_suite
+from sips.susy import ROUNDING_FLOOR, Spectrum
 
 
 _SUITE_NAMES = {"gaussian": "gaussian", "odd": "odd_gaussian", "offset": "offset_gaussian"}
@@ -243,3 +244,26 @@ def test_sector_hamiltonian_spectrum_matches_oracle(ref_grid):
     spec = algebra_spectrum("scarf", p0, 3)
     numeric = spectrum("scarf", p0, ref_grid, 3)
     assert np.max(np.abs(spec.energies - numeric)) < 2e-3
+
+
+@given(st.integers(-2**40, 2**40).map(lambda k: k / 64.0))
+def test_sector_map_round_trip(a):
+    # the member a sits in sector m = a + 1/2, and that sector hosts a again
+    m = algebra.sector_of(a)
+    assert m == a + 0.5
+    assert algebra.member_of(m) == a
+    assert algebra.sector_of(algebra.member_of(m)) == m
+
+
+@pytest.mark.parametrize("ulps,agree", [(31, True), (32, True), (33, False)])
+def test_route_verdict_at_the_rounding_floor(ulps, agree):
+    # level 2 at E = 4 may differ by ROUNDING_FLOOR·2·4 = 128·eps, 32 ulps of 4
+    p = ParameterPoint(3.0)
+    ulp = np.spacing(4.0)
+    assert ROUNDING_FLOOR * 2 * 4.0 == 32 * ulp
+    by_algebra = Spectrum("scarf", p, (0.0, 2.0, 4.0), [p] * 3)
+    by_shape = Spectrum("scarf", p, (0.0, 2.0, 4.0 + ulps * ulp), [p] * 3)
+    assert algebra.compare_routes(by_shape, by_algebra) == algebra.RouteComparison(ulps * ulp, agree)
+    # the floor scales with the level: the same gap at level 1 is beyond it
+    by_shape = Spectrum("scarf", p, (0.0, 2.0 + ulps * ulp, 4.0), [p] * 3)
+    assert algebra.compare_routes(by_shape, by_algebra) == algebra.RouteComparison(ulps * ulp, False)

@@ -70,6 +70,54 @@ def test_parse_params_rejects_unknown_key():
     assert p.a == 1.0
 
 
+def test_parse_params_reads_the_catalog_default_a():
+    # the oscillator's entry says its a may be left out, whatever its id
+    harmonic = sips.MODELS["oscillator"]._replace(id="harmonic")
+    assert parse_params(harmonic, None) == sips.ParameterPoint(1.0)
+    with pytest.raises(ValueError, match="model scarf_copy requires a="):
+        parse_params(sips.MODELS["scarf"]._replace(id="scarf_copy"), "B=1")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--model", "scarf", "--params", "a=x,B=1"], "parameter 'a' in --params: 'x' is not a number"),
+        (["spectrum", "--model", "scarf", "--params", "a=3,B="], "parameter 'B' in --params: '' is not a number"),
+        (["verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:20:4001.5"],
+         "--grid '-20:20:4001.5': '4001.5' is not an integer"),
+        (["verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:b:11"],
+         "--grid '-20:b:11': 'b' is not a number"),
+        (["reps", "region-grid", "--j", "0:1:x", "--m", "0:1:1"], "--j range '0:1:x': 'x' is not a number"),
+        (["reps", "region-grid", "--j", "0:1:1", "--m", "a:b:c"], "--m range 'a:b:c': 'a' is not a number"),
+    ],
+)
+def test_value_that_is_no_number_names_its_option(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_cli_leaves_the_rules_to_their_modules():
+    # cli.py parses, limits, defaults and formats: it compares no catalog
+    # model id (a family's rule lives in its entry) and reads no private name
+    # of another sips module (each rule has one public home)
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    modules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
+    private = [alias.name for node in imports for alias in node.names if alias.name.startswith("_")]
+    private += [
+        f"line {node.lineno}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    model_ids = [
+        f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, (ast.Compare, ast.match_case))
+        and any(isinstance(leaf, ast.Constant) and leaf.value in sips.MODELS for leaf in ast.walk(node))
+    ]
+    assert "catalog" in modules and "susy" in modules
+    assert (private, model_ids) == ([], [])
+
+
 @pytest.mark.parametrize("params,key", [("a=3,a=4", "a"), ("a=3,B=1,B=2", "B")])
 def test_repeated_param_key_is_usage_error(capsys, params, key):
     code, out, err = run(capsys, "spectrum", "--model", "scarf", "--params", params)

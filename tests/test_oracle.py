@@ -628,3 +628,12 @@ def test_lapack_failure_raises(monkeypatch):
         eigenvector(T, 0)
     with pytest.raises(np.linalg.LinAlgError, match="dstebz failed \\(info=4\\)"):
         sturm_count(T, 2.0)
+
+
+def test_persymmetric_operator_near_the_largest_float():
+    # a finite T whose mirrored diagonal entries would overflow when summed:
+    # the even and odd halves average them without the sum
+    T = TridiagonalOperator([1.5e308, 2.0, 1.5e308], [-1.0, -1.0], Grid(0.0, 1.0, 5))
+    assert sturm_count(T, 3.0) == 1
+    # the exact levels are 2 - 2/1.5e308 and 1.5e308 twice (to within 1e-308)
+    assert np.allclose(lowest_eigenvalues(T, 3), [2.0, 1.5e308, 1.5e308], rtol=4e-16, atol=0.0)
