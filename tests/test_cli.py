@@ -81,8 +81,10 @@ def test_parse_params_reads_the_catalog_default_a():
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["spectrum", "--model", "scarf", "--params", "a=x,B=1"], "parameter 'a' in --params: 'x' is not a number"),
-        (["spectrum", "--model", "scarf", "--params", "a=3,B="], "parameter 'B' in --params: '' is not a number"),
+        (["spectrum", "--model", "scarf", "--params", "a=x,B=1"],
+         "parameter 'a' in --params: 'x' is not a number"),
+        (["spectrum", "--model", "scarf", "--params", "a=3,B="],
+         "parameter 'B' in --params: '' is not a number"),
         (["verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:20:4001.5"],
          "--grid '-20:20:4001.5': '4001.5' is not an integer"),
         (["verify", "--model", "scarf", "--params", "a=3,B=1", "--grid", "-20:b:11"],
