@@ -61,50 +61,52 @@ MAX_POINTS = 1_000_000
 MAX_LEVEL_POINTS = 20_000_000
 
 
-class _NotANumber(ValueError):
-    """A part of an option's value that float() or int() refuses."""
-
-
 def _number(text: str, what: str, kind=float):
     try:
         return kind(text)
     except ValueError:
         kind_name = "an integer" if kind is int else "a number"
-        raise _NotANumber(f"{what}: {text!r} is not {kind_name}") from None
+        raise ValueError(f"{what}: {text!r} is not {kind_name}") from None
 
 
 def parse_grid_spec(spec: str) -> Grid:
-    """Grid spec 'min:max:n', e.g. '-20:20:4001'."""
+    """Grid spec 'min:max:n', e.g. '-20:20:4001'. Errors name --grid."""
     from .grids import Grid
 
+    what = f"--grid {spec!r}"
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid spec must be min:max:n, got {spec!r}")
-    what = f"--grid {spec!r}"
+        raise ValueError(f"{what} must be min:max:n")
     n_points = _number(parts[2], what, int)
     if n_points > MAX_POINTS:
         raise ValueError(f"--grid of {n_points} points exceeds the limit of {MAX_POINTS}")
-    return Grid(_number(parts[0], what), _number(parts[1], what), n_points)
+    x_min, x_max = _number(parts[0], what), _number(parts[1], what)
+    try:
+        return Grid(x_min, x_max, n_points)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
-def parse_range_spec(spec: str) -> list[float]:
+def parse_range_spec(spec: str, option: str = "") -> list[float]:
     """Range spec 'min:max:step' for the region raster axes: the values of
-    numpy's arange(min, max + step/2, step), computed as it computes them."""
+    numpy's arange(min, max + step/2, step), computed as it computes them.
+    Errors name the range as "{option} range 'spec'"."""
+    what = f"{option} range {spec!r}".lstrip()
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(f"range spec must be min:max:step, got {spec!r}")
-    lo, hi, step = (_number(part, f"range {spec!r}") for part in parts)
+        raise ValueError(f"{what} must be min:max:step")
+    lo, hi, step = (_number(part, what) for part in parts)
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bad range {spec!r}: min and max must be finite numbers")
+        raise ValueError(f"{what}: min and max must be finite numbers")
     if not (0.0 < step < math.inf and lo <= hi):
-        raise ValueError(f"bad range {spec!r}: need min <= max and a finite step > 0")
+        raise ValueError(f"{what}: need min <= max and a finite step > 0")
     # arange's length, ceil((stop - min)/step), counted before anything is built
     length = (hi + 0.5 * step - lo) / step
     if not length <= MAX_POINTS:
-        raise ValueError(f"range {spec!r} exceeds the limit of {MAX_POINTS} points")
+        raise ValueError(f"{what} exceeds the limit of {MAX_POINTS} points")
     count, delta = math.ceil(length), (lo + step) - lo
     if not count:  # max + step/2 rounds back to min: arange would hold no point
-        raise ValueError(f"bad range {spec!r}: the step vanishes against min and max, leaving no point")
+        raise ValueError(f"{what}: the step vanishes against min and max, leaving no point")
     # arange's values: min, min + step, then min + i·delta with delta the
     # difference of those two
     return [lo, lo + step][:count] + [lo + i * delta for i in range(2, count)]
@@ -411,13 +413,7 @@ def cmd_reps_enumerate(args) -> tuple:
 def cmd_reps_region_grid(args) -> tuple:
     from . import unireps
 
-    axes = []
-    for flag, spec in (("--j", args.j), ("--m", args.m)):
-        try:
-            axes.append(parse_range_spec(spec))
-        except _NotANumber as exc:
-            raise ValueError(f"{flag} {exc}") from None
-    j_values, m_values = axes
+    j_values, m_values = parse_range_spec(args.j, "--j"), parse_range_spec(args.m, "--m")
     if len(j_values) * len(m_values) > MAX_POINTS:
         raise ValueError(
             f"raster of {len(j_values)}x{len(m_values)} cells exceeds the limit of {MAX_POINTS}"

@@ -4,10 +4,13 @@ Files are written atomically (temp file in the target directory, then
 rename), so a crashed run never leaves a half-written artifact behind.
 
 Wavefunction files are formatted a chunk of CHUNK samples at a time with
-whole-chunk string operations (one %-format per CSV chunk, one join of
-float reprs per JSON chunk) and streamed to the writer, so no whole-file
-string is held. The bytes are those of the per-row CSV loop and of
-json.dumps(record, indent=2) + "\\n".
+whole-chunk string operations and streamed to the writer, so no whole-file
+string is held. A CSV chunk is one %-format of its psi values into a row
+format that already holds the chunk's x text; the row formats of a grid are
+built once and kept in a bounded per-process cache (6.8 MB at most), so a
+file written on a grid seen before formats only its psi values. A JSON
+chunk is one join of float reprs. The bytes are those of the per-row CSV
+loop and of json.dumps(record, indent=2) + "\\n".
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ import errno
 import os
 import stat
 import tempfile
+import threading
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .grids import SampledFunction
+    from .grids import Grid, SampledFunction
 
 __all__ = [
     "CHUNK",
@@ -125,17 +129,57 @@ def wavefunction_record(
 
 
 def wavefunction_csv_chunks(psi: SampledFunction, metadata: dict | None = None) -> Iterator[str]:
-    """Two-column CSV (x, psi) with '#'-prefixed metadata header lines."""
+    """Two-column CSV (x, psi) with '#'-prefixed metadata header lines: the
+    bytes of the per-row loop f"{x:.12g},{psi:.12g}\\n", signed zeros
+    included. Each chunk of CHUNK rows is its row format (``_row_formats``,
+    the x text written in and a %.12g slot per row) %-formatted with the
+    chunk's psi values, so a file on a grid seen before formats only psi."""
     header = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
     yield "\n".join([*header, "x,psi"]) + "\n"
-    x, values = psi.grid.x, psi.values
-    for start in range(0, len(values), CHUNK):
-        # x0, x0, x1, x1, ... with psi written over every second copy: the
-        # rows interleaved by array methods, so this module needs no numpy import
-        rows = x[start:start + CHUNK].repeat(2)
-        rows[1::2] = values[start:start + CHUNK]
-        # %-formatting a Python float gives the digits of f"{xi:.12g}"
-        yield ("%.12g,%.12g\n" * (len(rows) // 2)) % tuple(rows.tolist())
+    values = psi.values
+    for start, row_format in zip(range(0, len(values), CHUNK), _row_formats(psi.grid)):
+        # %-formatting a Python float gives the digits of f"{psi:.12g}"
+        yield row_format % tuple(values[start:start + CHUNK].tolist())
+
+
+# Row formats of recent grid chunks, least recently used first, keyed by
+# (x_min bits, x_max bits, n_points, first row); see _row_formats.
+_ROW_FORMATS: dict[tuple[str, str, int, int], str] = {}
+_ROW_FORMATS_MAX = 64
+_ROW_FORMATS_LOCK = threading.Lock()
+
+
+def _row_formats(grid: Grid) -> Iterator[str]:
+    """The %-formats of the grid's CSV rows, one per chunk of CHUNK rows:
+    "x,%.12g\\n" per row, with x written in as f"{x:.12g}".
+
+    Each is built once and kept in a per-process cache of at most 64 formats
+    (least recently used first out). A format holds at most 26 bytes per row
+    (19 for the longest %.12g text of a float, "-1.23456789012e-308", and 7
+    for ",%.12g\\n"), so the cache holds at most 64 × 26 × 4096 = 6,815,744
+    bytes of text, plus one str header (49 bytes) per format. A grid of up
+    to 64·CHUNK rows keeps all its formats; the 16 of a 64001-point grid on
+    [-20, 20] hold 0.96 MB."""
+    # the grid's exact bits, not Grid equality: Grid(-1, 0.0, 3) equals
+    # Grid(-1, -0.0, 3), but their last x prints as 0 and as -0
+    bits = (float(grid.x_min).hex(), float(grid.x_max).hex(), grid.n_points)
+    x = None
+    for start in range(0, grid.n_points, CHUNK):
+        key = (*bits, start)
+        with _ROW_FORMATS_LOCK:
+            row_format = _ROW_FORMATS.pop(key, None)
+            if row_format is not None:
+                _ROW_FORMATS[key] = row_format  # now the most recently used
+        if row_format is None:
+            x = grid.x if x is None else x
+            chunk = x[start:start + CHUNK].tolist()
+            # %% leaves the psi slot of each row; x text holds no %
+            row_format = ("%.12g,%%.12g\n" * len(chunk)) % tuple(chunk)
+            with _ROW_FORMATS_LOCK:
+                _ROW_FORMATS[key] = row_format
+                while len(_ROW_FORMATS) > _ROW_FORMATS_MAX:
+                    del _ROW_FORMATS[next(iter(_ROW_FORMATS))]
+        yield row_format
 
 
 _ITEM = ",\n    "  # between the items of a top-level list in indent-2 JSON

@@ -27,6 +27,7 @@ eigenvalues do not certify.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -215,8 +216,22 @@ def _check_finite(diag: NDArray[np.float64], off: NDArray[np.float64]) -> None:
     # as scipy's wrappers do: a nan or inf is the caller's error, and stebz
     # has no check of its own. Each public solver checks its T once; the
     # helpers below trust T and the blocks derived from it.
+    # stebz bisects from T's Gershgorin interval, whose ends lie within
+    # max|diag| + 2·max|off| (a bound on ‖T‖₁) of 0, and which is at most
+    # max(diag) - min(diag) + 4·max|off| wide: both must be finite floats
+    # (Python floats, whose overflow is inf, with no numpy warning; a nan or
+    # inf entry makes the width nan or inf).
+    top, bottom = float(diag.max()), float(diag.min())
+    radius = 2.0 * float(np.abs(off).max(initial=0.0))
+    norm, width = max(top, -bottom) + radius, top - bottom + 2.0 * radius
+    if math.isfinite(norm) and math.isfinite(width):
+        return
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("tridiagonal operator must not contain infs or NaNs")
+    raise ValueError(
+        f"tridiagonal operator's Gershgorin interval overflows (‖T‖₁ <= {norm:.3g}, "
+        f"width <= {width:.3g}): its eigenvalues may span more than the largest float"
+    )
 
 
 def _stebz(diag, off, k: int, abstol: float) -> NDArray[np.float64]:
@@ -313,9 +328,8 @@ def _persymmetric_halves(T: TridiagonalOperator):
     """
     diag, off = T.diag, np.abs(T.off)
     mirror = diag[::-1]
+    # finite, as _check_finite found, which keeps every block below finite
     norm = np.abs(diag).max() + 2.0 * off.max(initial=0.0)
-    if not np.isfinite(norm):  # a finite norm keeps every block below finite
-        return None
     palindrome = np.abs(diag - mirror).max() <= 2.0 * np.finfo(float).eps * norm
     if not (palindrome and np.array_equal(off, off[::-1])):
         return None

@@ -97,6 +97,29 @@ def test_value_that_is_no_number_names_its_option(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+_VERIFY = ["verify", "--model", "scarf", "--params", "a=3,B=1"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["reps", "region-grid", "--j", "0:1", "--m", "0:1:1"], "--j range '0:1' must be min:max:step"),
+        (["reps", "region-grid", "--j", "0:1:1", "--m", "1:0:1"],
+         "--m range '1:0:1': need min <= max and a finite step > 0"),
+        (["reps", "region-grid", "--j", "0:inf:1", "--m", "0:1:1"],
+         "--j range '0:inf:1': min and max must be finite numbers"),
+        (["reps", "region-grid", "--j", "0:1:1", "--m", "0:2000000:1"],
+         f"--m range '0:2000000:1' exceeds the limit of {MAX_POINTS} points"),
+        ([*_VERIFY, "--grid", "-20:20"], "--grid '-20:20' must be min:max:n"),
+        ([*_VERIFY, "--grid", "-20:20:2"], "--grid '-20:20:2': need at least 3 points, got 2"),
+        ([*_VERIFY, "--grid", "5:1:11"],
+         "--grid '5:1:11': need finite x_min < x_max and finite h² and 1/h², got [5.0, 1.0], h=-0.4"),
+    ],
+)
+def test_malformed_grid_or_range_names_its_option(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_cli_leaves_the_rules_to_their_modules():
     # cli.py parses, limits, defaults and formats: it compares no catalog
     # model id (a family's rule lives in its entry) and reads no private name
@@ -324,10 +347,12 @@ def test_nonfinite_grid_rejected(capsys, command, grid):
 )
 def test_range_without_a_point_rejected(capsys, j, m, bad):
     # max + step/2 rounds back to min, so arange(min, max + step/2, step)
-    # holds no point: the first such range is named, as other bad ranges are
+    # holds no point: the first such range is named, with its option, as
+    # other bad ranges are
     code, out, err = run(capsys, "reps", "region-grid", "--j", j, "--m", m)
     usage_error(code, out, err)
-    assert err == f"error: bad range '{bad}': the step vanishes against min and max, leaving no point\n"
+    flag = "--j" if bad == j else "--m"
+    assert err == f"error: {flag} range '{bad}': the step vanishes against min and max, leaving no point\n"
 
 
 @pytest.mark.parametrize("params", ["a=inf", "a=3,B=nan"])

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -637,3 +640,24 @@ def test_persymmetric_operator_near_the_largest_float():
     assert sturm_count(T, 3.0) == 1
     # the exact levels are 2 - 2/1.5e308 and 1.5e308 twice (to within 1e-308)
     assert np.allclose(lowest_eigenvalues(T, 3), [2.0, 1.5e308, 1.5e308], rtol=4e-16, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "diag,off,bounds",
+    [([1.5e308, 0.0, -1.5e308], [-1.0, -1.0], "‖T‖₁ <= 1.5e+308, width <= inf"),
+     ([1.79e308, 1.79e308, 1.79e308], [-1e307, -1e307], "‖T‖₁ <= inf, width <= 4e+307")],
+)
+def test_overflowing_gershgorin_interval_rejected(diag, off, bounds):
+    # finite entries whose eigenvalues may span more than the largest float
+    # (the spread of diag) or lie beyond it (a wall plus its bonds): a usage
+    # error naming the bound, raised before LAPACK runs and with no warning
+    T = TridiagonalOperator(diag, off, Grid(0.0, 1.0, 5))
+    message = re.escape(f"Gershgorin interval overflows ({bounds})")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            lowest_eigenvalues(T, 3)
+        with pytest.raises(ValueError, match=message):
+            eigenvector(T, 0)
+        with pytest.raises(ValueError, match=message):
+            sturm_count(T, 0.0)

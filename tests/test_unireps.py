@@ -273,13 +273,14 @@ def test_region_grid_matches_numpy_reference(j_spec, m_spec):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["reps", "region-grid", "--j", j_spec, "--m", m_spec])
-    empty = next((spec for spec, axis in ((j_spec, j), (m_spec, m)) if not axis.size), None)
+    empty = next(((flag, spec) for flag, spec, axis in (("--j", j_spec, j), ("--m", m_spec, m))
+                  if not axis.size), None)
     if empty is not None:
         # a step that vanishes against equal bounds leaves arange no point: a
         # usage error naming the first such range, not a raster with no cell
         assert (code, out.getvalue()) == (2, "")
         assert err.getvalue() == (
-            f"error: bad range {empty!r}: the step vanishes against min and max, leaving no point\n"
+            f"error: {empty[0]} range {empty[1]!r}: the step vanishes against min and max, leaving no point\n"
         )
         return
     assert [v.hex() for v in parse_range_spec(j_spec)] == [v.hex() for v in j.tolist()]
